@@ -3,26 +3,16 @@
 //! ```text
 //! cargo run --release -p qo_bench --bin experiments -- all
 //! cargo run --release -p qo_bench --bin experiments -- fig6
-//! cargo run --release -p qo_bench --bin experiments -- table2 --threads 8
+//! QO_THREADS=8 cargo run --release -p qo_bench --bin experiments -- table2
 //! ```
 //!
-//! `--threads N` (or the `QO_THREADS` env var) runs the pipeline's
-//! compile-bound stages on `N` worker threads (`0` = all cores); results
-//! are bit-identical to the serial default. `--cache on|off` (or `QO_CACHE`)
-//! toggles the compile-result cache, `--exec-cache on|off` (or
-//! `QO_EXEC_CACHE`) the execution-result cache, `--delta-compile on|off`
-//! (or `QO_DELTA`) delta treatment compilation, and `--feature-cache on|off`
-//! (or `QO_FEATURE_CACHE`) the span-feature cache — all bit-identical either
-//! way, only throughput differs (all on by default). `--snapshot-every N`
-//! (or `QO_SNAPSHOT_EVERY`) writes a durable-state snapshot to
-//! `results/snapshots/<experiment>.qosnap` after every `N`-th simulated day
-//! of the closed-loop experiments (0 = never, the default) — outputs are
-//! bit-identical either way; the write cost lands in each day's
-//! `timings.snapshot_ns`. `--compile-budget N` (or `QO_COMPILE_BUDGET`)
-//! caps every counterfactual recompile at `N` optimizer tasks (0 =
-//! unlimited, the default): the anytime engine sheds exploration past the
-//! budget and extracts the best plan found so far — hint files and steering
-//! reports are budget-invariant; only the measurement path degrades.
+//! The run knobs are the `QO_*` environment variables of the table in
+//! [`qo_advisor::config`]. This binary honours the pipeline knobs
+//! (`QO_THREADS`, the four cache/delta switches and `QO_COMPILE_BUDGET`),
+//! `QO_LITERALS`, and `QO_SNAPSHOT_EVERY`, which writes a durable-state
+//! snapshot to `results/snapshots/<experiment>.qosnap` after every `N`-th
+//! simulated day of the closed-loop experiments. Only the literal policy
+//! changes results; the others change throughput or cost.
 //!
 //! Each experiment writes its raw series to `results/<name>.csv` and prints
 //! a summary row comparing the paper's reported shape with the measured one.
@@ -32,91 +22,26 @@
 
 use flighting::{FlightBudget, FlightRequest, FlightingService};
 use qo_advisor::{
-    aggregate_impact, CacheConfig, DeltaConfig, ExecCacheConfig, FeatureCacheConfig,
-    HintedComparison, ParallelismConfig, PipelineConfig, ProductionSim, QoAdvisor,
-    RecommendStrategy, SnapshotPolicy, ValidationModel, ValidationSample,
+    aggregate_impact, HintedComparison, PipelineConfig, ProductionSim, QoAdvisor,
+    RecommendStrategy, RunKnobs, SnapshotPolicy, ValidationModel, ValidationSample,
 };
 use qo_bench::corpus::{write_csv, Env};
 use qo_bench::{mean, pearson, percentile, polyfit1};
 use scope_runtime::{Cluster, ClusterExecutor, Executor};
-use scope_workload::{build_view, LiteralPolicy, WorkloadConfig};
+use scope_workload::{build_view, WorkloadConfig};
 
-/// Worker-thread override for every experiment in this run.
-static THREADS: std::sync::OnceLock<Option<usize>> = std::sync::OnceLock::new();
+/// The run knobs, loaded from the environment once.
+static KNOBS: std::sync::OnceLock<RunKnobs> = std::sync::OnceLock::new();
 
-fn set_threads(threads: Option<usize>) {
-    let _ = THREADS.set(threads);
+fn knobs() -> &'static RunKnobs {
+    KNOBS.get_or_init(RunKnobs::from_env_or_exit)
 }
 
-/// Compile-result-cache override for every experiment in this run.
-static CACHE: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-
-fn set_cache(enabled: bool) {
-    let _ = CACHE.set(enabled);
-}
-
-fn parse_cache_flag(value: &str) -> bool {
-    match value {
-        "on" | "1" | "true" => true,
-        "off" | "0" | "false" => false,
-        other => {
-            eprintln!("cache flag must be on|off, got `{other}`");
-            std::process::exit(2);
-        }
-    }
-}
-
-/// Execution-result-cache override for every experiment in this run.
-static EXEC_CACHE: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-
-fn set_exec_cache(enabled: bool) {
-    let _ = EXEC_CACHE.set(enabled);
-}
-
-/// Delta-slate-compilation override for every experiment in this run.
-static DELTA: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-
-fn set_delta(enabled: bool) {
-    let _ = DELTA.set(enabled);
-}
-
-/// Span-feature-cache override for every experiment in this run.
-static FEATURE_CACHE: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-
-fn set_feature_cache(enabled: bool) {
-    let _ = FEATURE_CACHE.set(enabled);
-}
-
-/// Anytime compile budget for the measurement-path (counterfactual)
-/// compiles of every closed-loop experiment in this run.
-static COMPILE_BUDGET: std::sync::OnceLock<qo_advisor::CompileBudget> = std::sync::OnceLock::new();
-
-fn set_compile_budget(budget: qo_advisor::CompileBudget) {
-    let _ = COMPILE_BUDGET.set(budget);
-}
-
-/// Parse via the shared [`qo_advisor::CompileBudget`] parser (same spellings
-/// as `QO_COMPILE_BUDGET` everywhere).
-fn parse_budget_flag(value: &str) -> qo_advisor::CompileBudget {
-    qo_advisor::CompileBudget::parse(value).unwrap_or_else(|e| {
-        eprintln!("bad compile budget: {e}");
-        std::process::exit(2);
-    })
-}
-
-/// Day-boundary snapshot cadence for the closed-loop experiments
-/// (0 = never).
-static SNAPSHOT_EVERY: std::sync::OnceLock<u32> = std::sync::OnceLock::new();
-
-fn set_snapshot_every(every: u32) {
-    let _ = SNAPSHOT_EVERY.set(every);
-}
-
-/// Install the CLI-selected snapshot policy on a closed-loop simulation,
-/// writing to `results/snapshots/<name>.qosnap`. No-op unless
-/// `--snapshot-every` (or `QO_SNAPSHOT_EVERY`) selected a cadence.
+/// Install the `QO_SNAPSHOT_EVERY` snapshot policy on a closed-loop
+/// simulation, writing to `results/snapshots/<name>.qosnap`. No-op unless
+/// a cadence is set.
 fn apply_snapshot_policy(sim: &mut ProductionSim, name: &str) {
-    let every = *SNAPSHOT_EVERY.get_or_init(|| 0);
+    let every = knobs().snapshot_every;
     if every == 0 {
         return;
     }
@@ -131,61 +56,8 @@ fn apply_snapshot_policy(sim: &mut ProductionSim, name: &str) {
     }));
 }
 
-/// Literal-redraw policy for every simulated workload in this run.
-static LITERALS: std::sync::OnceLock<LiteralPolicy> = std::sync::OnceLock::new();
-
-fn set_literals(policy: LiteralPolicy) {
-    let _ = LITERALS.set(policy);
-}
-
-/// The CLI-selected literal-redraw policy (default: fresh every run).
-fn literal_policy() -> LiteralPolicy {
-    *LITERALS.get_or_init(|| LiteralPolicy::FreshEachRun)
-}
-
-/// Parse `fresh` | `sticky` | `sticky:N` | `mixed:F` via the shared
-/// [`LiteralPolicy`] parser (same spellings as `QO_LITERALS` everywhere).
-fn parse_literals_flag(value: &str) -> LiteralPolicy {
-    value.parse().unwrap_or_else(|e| {
-        eprintln!("bad literals flag: {e}");
-        std::process::exit(2);
-    })
-}
-
-/// The base pipeline configuration every experiment derives from: defaults
-/// plus the CLI-selected parallelism and cache switches.
-fn pipeline_config() -> PipelineConfig {
-    PipelineConfig {
-        parallelism: ParallelismConfig {
-            threads: *THREADS.get_or_init(|| None),
-        },
-        cache: if *CACHE.get_or_init(|| true) {
-            CacheConfig::default()
-        } else {
-            CacheConfig::disabled()
-        },
-        exec_cache: if *EXEC_CACHE.get_or_init(|| true) {
-            ExecCacheConfig::default()
-        } else {
-            ExecCacheConfig::disabled()
-        },
-        delta: if *DELTA.get_or_init(|| true) {
-            DeltaConfig::default()
-        } else {
-            DeltaConfig::disabled()
-        },
-        feature_cache: if *FEATURE_CACHE.get_or_init(|| true) {
-            FeatureCacheConfig::default()
-        } else {
-            FeatureCacheConfig::disabled()
-        },
-        compile_budget: *COMPILE_BUDGET.get_or_init(qo_advisor::CompileBudget::unlimited),
-        ..PipelineConfig::default()
-    }
-}
-
 /// The base workload every simulation experiment derives from: the given
-/// shape plus the CLI-selected literal-redraw policy.
+/// shape plus the `QO_LITERALS` literal-redraw policy.
 fn workload_config(
     seed: u64,
     num_templates: usize,
@@ -197,104 +69,21 @@ fn workload_config(
         num_templates,
         adhoc_per_day,
         max_instances_per_day,
-        literals: literal_policy(),
+        literals: knobs().literals,
     }
 }
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    if let Some(i) = args.iter().position(|a| a == "--threads") {
-        let n = args
-            .get(i + 1)
-            .and_then(|v| v.parse::<usize>().ok())
-            .unwrap_or_else(|| {
-                eprintln!("--threads requires an integer argument");
-                std::process::exit(2);
-            });
-        set_threads(Some(n));
-        args.drain(i..=i + 1);
-    } else if let Ok(value) = std::env::var("QO_THREADS") {
-        let n = value.parse::<usize>().unwrap_or_else(|_| {
-            eprintln!("QO_THREADS must be an integer, got `{value}`");
-            std::process::exit(2);
-        });
-        set_threads(Some(n));
-    }
-    if let Some(i) = args.iter().position(|a| a == "--cache") {
-        let enabled = args.get(i + 1).map(String::as_str).unwrap_or_else(|| {
-            eprintln!("--cache requires on|off");
-            std::process::exit(2);
-        });
-        set_cache(parse_cache_flag(enabled));
-        args.drain(i..=i + 1);
-    } else if let Ok(value) = std::env::var("QO_CACHE") {
-        set_cache(parse_cache_flag(&value));
-    }
-    if let Some(i) = args.iter().position(|a| a == "--exec-cache") {
-        let enabled = args.get(i + 1).map(String::as_str).unwrap_or_else(|| {
-            eprintln!("--exec-cache requires on|off");
-            std::process::exit(2);
-        });
-        set_exec_cache(parse_cache_flag(enabled));
-        args.drain(i..=i + 1);
-    } else if let Ok(value) = std::env::var("QO_EXEC_CACHE") {
-        set_exec_cache(parse_cache_flag(&value));
-    }
-    if let Some(i) = args.iter().position(|a| a == "--delta-compile") {
-        let enabled = args.get(i + 1).map(String::as_str).unwrap_or_else(|| {
-            eprintln!("--delta-compile requires on|off");
-            std::process::exit(2);
-        });
-        set_delta(parse_cache_flag(enabled));
-        args.drain(i..=i + 1);
-    } else if let Ok(value) = std::env::var("QO_DELTA") {
-        set_delta(parse_cache_flag(&value));
-    }
-    if let Some(i) = args.iter().position(|a| a == "--feature-cache") {
-        let enabled = args.get(i + 1).map(String::as_str).unwrap_or_else(|| {
-            eprintln!("--feature-cache requires on|off");
-            std::process::exit(2);
-        });
-        set_feature_cache(parse_cache_flag(enabled));
-        args.drain(i..=i + 1);
-    } else if let Ok(value) = std::env::var("QO_FEATURE_CACHE") {
-        set_feature_cache(parse_cache_flag(&value));
-    }
-    if let Some(i) = args.iter().position(|a| a == "--compile-budget") {
-        let value = args.get(i + 1).map(String::as_str).unwrap_or_else(|| {
-            eprintln!("--compile-budget requires a task count (0 = unlimited)");
-            std::process::exit(2);
-        });
-        set_compile_budget(parse_budget_flag(value));
-        args.drain(i..=i + 1);
-    } else if let Ok(value) = std::env::var("QO_COMPILE_BUDGET") {
-        set_compile_budget(parse_budget_flag(&value));
-    }
-    if let Some(i) = args.iter().position(|a| a == "--snapshot-every") {
-        let every = args
-            .get(i + 1)
-            .and_then(|v| v.parse::<u32>().ok())
-            .unwrap_or_else(|| {
-                eprintln!("--snapshot-every requires an integer argument (0 = never)");
-                std::process::exit(2);
-            });
-        set_snapshot_every(every);
-        args.drain(i..=i + 1);
-    } else if let Ok(value) = std::env::var("QO_SNAPSHOT_EVERY") {
-        set_snapshot_every(value.parse().unwrap_or_else(|_| {
-            eprintln!("QO_SNAPSHOT_EVERY must be an integer, got `{value}`");
-            std::process::exit(2);
-        }));
-    }
-    if let Some(i) = args.iter().position(|a| a == "--literals") {
-        let policy = args.get(i + 1).map(String::as_str).unwrap_or_else(|| {
-            eprintln!("--literals requires fresh|sticky[:days]|mixed:fraction");
-            std::process::exit(2);
-        });
-        set_literals(parse_literals_flag(policy));
-        args.drain(i..=i + 1);
-    } else if let Ok(value) = std::env::var("QO_LITERALS") {
-        set_literals(parse_literals_flag(&value));
+    // Reject a malformed knob before any experiment runs.
+    knobs();
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.len() > 1 {
+        eprintln!(
+            "unexpected arguments {:?}: pass one experiment name; run knobs are \
+             QO_* environment variables (see qo_advisor::config)",
+            &args[1..]
+        );
+        std::process::exit(2);
     }
     let which = args.first().map(String::as_str).unwrap_or("all");
     let run = |name: &str| which == "all" || which == name;
@@ -358,7 +147,7 @@ fn main() {
 /// Figures 2 and 4: week-over-week instability of single A/B savings.
 fn fig2_fig4() {
     println!("\n=== Figures 2 & 4: recurring-job stability (week0 vs week1) ===");
-    let env = Env::standard(2022, 60, literal_policy());
+    let env = Env::standard(2022, 60, knobs().literals);
     let default = env.default_config();
     let mut svc = FlightingService::new(
         Cluster::preproduction(),
@@ -434,7 +223,7 @@ fn fig2_fig4() {
 /// Figures 3 and 5: A/A variance of latency vs PNhours.
 fn fig3_fig5() {
     println!("\n=== Figures 3 & 5: A/A variance (10 runs per job) ===");
-    let env = Env::standard(2022, 60, literal_policy());
+    let env = Env::standard(2022, 60, knobs().literals);
     let default = env.default_config();
     let jobs = env.workload.jobs_for_day(0);
     let mut points = Vec::new();
@@ -479,7 +268,7 @@ fn fig3_fig5() {
 /// Figure 6: estimated-cost deltas do not predict latency deltas.
 fn fig6() {
     println!("\n=== Figure 6: estimated-cost delta vs latency delta ===");
-    let env = Env::standard(2022, 60, literal_policy());
+    let env = Env::standard(2022, 60, knobs().literals);
     let default = env.default_config();
     let mut svc = FlightingService::new(
         Cluster::preproduction(),
@@ -593,7 +382,7 @@ fn gather_samples(env: &Env, days: std::ops::Range<u32>, salt: u64) -> Vec<Valid
 /// Figures 7 and 8: DataRead/DataWritten deltas correlate with PN deltas.
 fn fig7_fig8() {
     println!("\n=== Figures 7 & 8: data deltas predict PNhours deltas ===");
-    let env = Env::standard(2022, 60, literal_policy());
+    let env = Env::standard(2022, 60, knobs().literals);
     let samples = gather_samples(&env, 0..3, 0x77);
     let rows: Vec<String> = samples
         .iter()
@@ -633,7 +422,7 @@ fn fig7_fig8() {
 /// Figure 9: validation-model accuracy on held-out days.
 fn fig9() {
     println!("\n=== Figure 9: validation model, predicted vs actual PN delta ===");
-    let env = Env::standard(2022, 60, literal_policy());
+    let env = Env::standard(2022, 60, knobs().literals);
     // Train on a 14-day window of random pre-production flights (Â§4.3);
     // evaluate against what actually happens in *production*: paired
     // default/flip runs of later days' jobs on the production cluster.
@@ -715,7 +504,7 @@ fn fig9() {
 /// Table 2 and Figures 10-12: end-to-end production impact.
 fn table2_and_figs() {
     println!("\n=== Table 2 + Figures 10-12: pre-production impact of QO-Advisor ===");
-    let mut sim = ProductionSim::new(workload_config(2022, 60, 15, 2), pipeline_config());
+    let mut sim = ProductionSim::new(workload_config(2022, 60, 15, 2), knobs().pipeline.clone());
     apply_snapshot_policy(&mut sim, "table2");
     sim.bootstrap_validation_model(5, 24)
         .expect("generated workloads compile on the default path");
@@ -780,7 +569,7 @@ fn table3() {
     println!("\n=== Table 3: random vs CB rule flips ===");
     let wl = workload_config(2022, 60, 15, 2);
     // Train the CB through the daily loop.
-    let mut sim = ProductionSim::new(wl.clone(), pipeline_config());
+    let mut sim = ProductionSim::new(wl.clone(), knobs().pipeline.clone());
     apply_snapshot_policy(&mut sim, "table3");
     sim.bootstrap_validation_model(3, 16)
         .expect("generated workloads compile on the default path");
@@ -808,7 +597,7 @@ fn table3() {
         FlightingService::new(Cluster::preproduction(), FlightBudget::default()),
         PipelineConfig {
             strategy: RecommendStrategy::UniformRandom,
-            ..pipeline_config()
+            ..knobs().pipeline.clone()
         },
     );
     let report_rand = random.run_day(&view, eval_day).expect("pipeline day runs");
@@ -903,7 +692,7 @@ fn ablation_cost_gate() {
                 est_cost_gate: gate,
                 flight_budget: tight.clone(),
                 max_flights_per_day: 64,
-                ..pipeline_config()
+                ..knobs().pipeline.clone()
             },
         );
         let out = sim
@@ -954,7 +743,7 @@ fn ablation_span_features() {
             wl.clone(),
             PipelineConfig {
                 span_features,
-                ..pipeline_config()
+                ..knobs().pipeline.clone()
             },
         );
         sim.bootstrap_validation_model(3, 16)
@@ -1018,7 +807,7 @@ fn ablation_span_features() {
 /// template).
 fn negi_maintenance_cost() {
     println!("\n=== §2.2 maintenance cost: Negi et al. 2021 vs QO-Advisor ===");
-    let env = Env::standard(2022, 60, literal_policy());
+    let env = Env::standard(2022, 60, knobs().literals);
     let mut svc = FlightingService::new(
         Cluster::preproduction(),
         FlightBudget {

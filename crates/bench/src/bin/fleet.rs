@@ -12,14 +12,18 @@
 //! cross-PR perf trajectory artifact described in `PERFORMANCE.md`; CI
 //! uploads it on every run.
 //!
-//! Knobs: `--tenants N` / `QO_TENANTS` (default 64), `--days N` (default 4),
-//! `--workers N` / `QO_FLEET_WORKERS` (default 0 = all cores), and
-//! `--budget N` / `QO_COMPILE_BUDGET` (default unlimited) — the per-job
-//! stream compile budget ([`StreamConfig::compile_budget`]): under load, a
+//! The run knobs are the `QO_*` environment variables of the table in
+//! [`qo_advisor::config`]: `QO_TENANTS` (default 64), `QO_FLEET_WORKERS`
+//! (default 0 = all cores), `QO_LITERALS`, and the pipeline knobs, which
+//! every tenant's loop applies (`QO_COMPILE_BUDGET` budgets only the
+//! measurement-path recompiles, as everywhere else). The bin's own
+//! arguments are `--days N` (default 4), `--json PATH`, and `--budget N`
+//! (default unlimited) — the per-job stream compile budget
+//! ([`qo_advisor::fleet::StreamConfig::compile_budget`]): under load, a
 //! finite budget sheds view-build compile work deterministically and the
-//! probe reports the shed totals. Flags win over environment variables.
-use qo_advisor::fleet::{overlapping_workloads, Fleet, FleetConfig, StreamConfig};
-use qo_advisor::{CacheStats, CompileBudget, PipelineConfig};
+//! probe reports the shed totals.
+use qo_advisor::fleet::{overlapping_workloads, Fleet, FleetConfig};
+use qo_advisor::{CacheStats, CompileBudget, RunKnobs};
 use scope_workload::WorkloadConfig;
 use std::fmt::Write as _;
 
@@ -28,10 +32,6 @@ fn parse_or_exit<T: std::str::FromStr>(value: &str, what: &str) -> T {
         eprintln!("{what} must be an integer, got `{value}`");
         std::process::exit(2);
     })
-}
-
-fn env_knob(name: &str) -> Option<usize> {
-    std::env::var(name).ok().map(|v| parse_or_exit(&v, name))
 }
 
 fn cache_json(label: &str, s: &CacheStats) -> String {
@@ -143,20 +143,10 @@ fn run_fleet(workloads: &[WorkloadConfig], config: &FleetConfig, days: u32) -> F
     }
 }
 
-fn parse_budget_or_exit(value: &str, what: &str) -> CompileBudget {
-    CompileBudget::parse(value).unwrap_or_else(|e| {
-        eprintln!("{what}: {e}");
-        std::process::exit(2);
-    })
-}
-
 fn main() {
-    let mut tenants = env_knob("QO_TENANTS").unwrap_or(64);
-    let mut workers = env_knob("QO_FLEET_WORKERS").unwrap_or(0);
-    let mut budget = std::env::var("QO_COMPILE_BUDGET").map_or_else(
-        |_| CompileBudget::unlimited(),
-        |v| parse_budget_or_exit(&v, "QO_COMPILE_BUDGET"),
-    );
+    let knobs = RunKnobs::from_env_or_exit();
+    let tenants = knobs.tenants.unwrap_or(64);
+    let mut stream = knobs.stream;
     let mut days: u32 = 4;
     let mut json_path = "results/BENCH_fleet.json".to_string();
     let mut args = std::env::args().skip(1);
@@ -168,54 +158,46 @@ fn main() {
             })
         };
         match arg.as_str() {
-            "--tenants" => tenants = parse_or_exit(&value("--tenants"), "--tenants"),
             "--days" => days = parse_or_exit(&value("--days"), "--days"),
-            "--workers" => workers = parse_or_exit(&value("--workers"), "--workers"),
-            "--budget" => budget = parse_budget_or_exit(&value("--budget"), "--budget"),
+            "--budget" => {
+                stream.compile_budget =
+                    CompileBudget::parse(&value("--budget")).unwrap_or_else(|e| {
+                        eprintln!("--budget: {e}");
+                        std::process::exit(2);
+                    });
+            }
             "--json" => json_path = value("--json"),
             other => {
                 eprintln!(
-                    "unknown argument `{other}` (expected --tenants N, --days N, \
-                     --workers N, --budget N, --json PATH)"
+                    "unknown argument `{other}` (expected --days N, --budget N, --json PATH)"
                 );
                 std::process::exit(2);
             }
         }
     }
-    if tenants == 0 {
-        eprintln!("--tenants must be >= 1");
-        std::process::exit(2);
-    }
+    let budget = stream.compile_budget;
+    let workers = stream.workers;
 
-    // The probe workload: probe-shaped templates under the default fresh
-    // literal policy (every instance a new exact plan — the hardest case for
-    // within-tenant caching, which makes the *cross-tenant* sharing signal
-    // cleanest: isolated tenants mostly miss, shared tenants hit each
-    // other's entries). Overlapping tenants model the paper's fleet economics
-    // — the same recurring templates run across many customers.
+    // The probe workload: probe-shaped templates under the `QO_LITERALS`
+    // policy. Its fresh default (every instance a new exact plan) is the
+    // hardest case for within-tenant caching, which makes the
+    // *cross-tenant* sharing signal cleanest: isolated tenants mostly miss,
+    // shared tenants hit each other's entries. Overlapping tenants model the
+    // paper's fleet economics — the same recurring templates run across
+    // many customers.
     let wl = WorkloadConfig {
         // qo-lint: allow(seed-salt) — top-level probe-workload seed, not a derivation salt
         seed: 2022,
         num_templates: 60,
         adhoc_per_day: 15,
         max_instances_per_day: 2,
-        ..WorkloadConfig::default()
+        literals: knobs.literals,
     };
-    let pipeline = PipelineConfig {
-        // 2^16 hashed CB weights per tenant keeps a 64-tenant fleet's bandit
-        // state ~32 MB (the default 2^20 would be ~0.5 GB).
-        cb: personalizer::CbConfig {
-            dim_bits: 16,
-            ..personalizer::CbConfig::default()
-        },
-        ..PipelineConfig::default()
-    };
+    let mut pipeline = knobs.pipeline;
+    // 2^16 hashed CB weights per tenant keeps a 64-tenant fleet's bandit
+    // state ~32 MB (the default 2^20 would be ~0.5 GB).
+    pipeline.cb.dim_bits = 16;
     let workloads = overlapping_workloads(tenants, &wl);
-    let stream = StreamConfig {
-        workers,
-        compile_budget: budget,
-        ..StreamConfig::default()
-    };
 
     eprintln!(
         "fleet probe: {tenants} tenants x {days} days, workers={workers} (0=auto), \

@@ -8,9 +8,12 @@
 //! delta-compilation counters, plus lifetime totals) to
 //! `results/BENCH_probe.json` by default — the cross-PR perf trajectory
 //! artifact described in `PERFORMANCE.md`; CI uploads it on every run.
+//!
+//! The run knobs are the `QO_*` environment variables of the table in
+//! [`qo_advisor::config`]: the pipeline knobs, `QO_LITERALS`, and
+//! `QO_SNAPSHOT` (an every-day snapshot plus a timed restore).
 use qo_advisor::{
-    aggregate_impact, DayOutcome, ParallelismConfig, PipelineConfig, ProductionSim,
-    RecommendStrategy,
+    aggregate_impact, DayOutcome, PipelineConfig, ProductionSim, RecommendStrategy, RunKnobs,
 };
 use scope_workload::WorkloadConfig;
 use std::fmt::Write as _;
@@ -31,7 +34,7 @@ fn day_json(out: &DayOutcome, wall_ms: f64) -> String {
         "{{\"day\":{},\"wall_ms\":{wall_ms:.3},\
          \"timings_ns\":{{\"view_build\":{},\"counterfactual\":{},\
          \"feature_gen\":{},\"recommend\":{},\"flight\":{},\
-         \"validate\":{},\"publish\":{},\"snapshot\":{}}},\
+         \"validate\":{},\"publish\":{},\"snapshot\":{},\"restore\":{}}},\
          \"compile_cache\":{{\"hits\":{},\"misses\":{},\"inserts\":{},\"evictions\":{}}},\
          \"exec_cache\":{{\"result_hits\":{},\"result_misses\":{},\
          \"graph_hits\":{},\"graph_misses\":{}}},\
@@ -50,6 +53,7 @@ fn day_json(out: &DayOutcome, wall_ms: f64) -> String {
         t.validate_ns,
         t.publish_ns,
         t.snapshot_ns,
+        t.restore_ns,
         cc.hits,
         cc.misses,
         cc.inserts,
@@ -92,88 +96,13 @@ fn main() {
         }
         None => None,
     };
-    // `QO_THREADS=8` parallelizes the pipeline's compile-bound stages;
-    // `QO_CACHE=off` disables the compile-result cache (on by default).
-    let threads = std::env::var("QO_THREADS").ok().map(|value| {
-        value.parse().unwrap_or_else(|_| {
-            eprintln!("QO_THREADS must be an integer, got `{value}`");
-            std::process::exit(2);
-        })
-    });
-    let cache = match std::env::var("QO_CACHE").ok().as_deref() {
-        None | Some("on" | "1" | "true") => qo_advisor::CacheConfig::default(),
-        Some("off" | "0" | "false") => qo_advisor::CacheConfig::disabled(),
-        Some(other) => {
-            eprintln!("QO_CACHE must be on|off, got `{other}`");
-            std::process::exit(2);
-        }
-    };
-    // `QO_EXEC_CACHE=off` disables the execution-result cache (on by
-    // default) — the execute-side twin of `QO_CACHE`.
-    let exec_cache = std::env::var("QO_EXEC_CACHE").map_or_else(
-        |_| qo_advisor::ExecCacheConfig::default(),
-        |value| {
-            qo_advisor::ExecCacheConfig::parse_switch(&value).unwrap_or_else(|e| {
-                eprintln!("bad QO_EXEC_CACHE: {e}");
-                std::process::exit(2);
-            })
-        },
-    );
-    // `QO_DELTA=off` disables delta slate compilation (on by default).
-    let delta = std::env::var("QO_DELTA").map_or_else(
-        |_| qo_advisor::DeltaConfig::default(),
-        |value| {
-            qo_advisor::DeltaConfig::parse_switch(&value).unwrap_or_else(|e| {
-                eprintln!("bad QO_DELTA: {e}");
-                std::process::exit(2);
-            })
-        },
-    );
-    // `QO_FEATURE_CACHE=off` disables the span-feature cache (on by
-    // default) — the recommend-side twin of `QO_CACHE`.
-    let feature_cache = std::env::var("QO_FEATURE_CACHE").map_or_else(
-        |_| qo_advisor::FeatureCacheConfig::default(),
-        |value| {
-            qo_advisor::FeatureCacheConfig::parse_switch(&value).unwrap_or_else(|e| {
-                eprintln!("bad QO_FEATURE_CACHE: {e}");
-                std::process::exit(2);
-            })
-        },
-    );
-    // `QO_COMPILE_BUDGET=N` caps every counterfactual recompile at N
-    // optimizer tasks (0/unset = unlimited): the anytime engine sheds
-    // exploration past the budget; hints are budget-invariant.
-    let compile_budget = std::env::var("QO_COMPILE_BUDGET").map_or_else(
-        |_| qo_advisor::CompileBudget::unlimited(),
-        |value| {
-            qo_advisor::CompileBudget::parse(&value).unwrap_or_else(|e| {
-                eprintln!("bad QO_COMPILE_BUDGET: {e}");
-                std::process::exit(2);
-            })
-        },
-    );
-    // `QO_SNAPSHOT=<path>` writes a durable-state snapshot at every day
-    // boundary (see `qo_advisor::snapshot`); the JSON record then carries
-    // the per-day write cost plus a measured restore cost.
-    let snapshot_path = std::env::var("QO_SNAPSHOT").ok();
-    // `QO_LITERALS=sticky` (or `sticky:N` / `mixed:F`) switches the workload
-    // into the recurring-script regime; default redraws literals every run.
-    let literals =
-        std::env::var("QO_LITERALS").map_or(scope_workload::LiteralPolicy::FreshEachRun, |value| {
-            value.parse().unwrap_or_else(|e| {
-                eprintln!("bad QO_LITERALS: {e}");
-                std::process::exit(2);
-            })
-        });
-    let config = PipelineConfig {
-        parallelism: ParallelismConfig { threads },
-        cache,
-        exec_cache,
-        delta,
-        feature_cache,
-        compile_budget,
-        ..PipelineConfig::default()
-    };
+    // The `QO_*` run knobs (see the table in `qo_advisor::config`).
+    let RunKnobs {
+        pipeline: config,
+        literals,
+        snapshot: snapshot_path,
+        ..
+    } = RunKnobs::from_env_or_exit();
     let wl = WorkloadConfig {
         // qo-lint: allow(seed-salt) — top-level probe-workload seed, not a derivation salt
         seed: 2022,
@@ -185,7 +114,7 @@ fn main() {
     let probe_start = Instant::now();
     let mut sim = ProductionSim::new(wl.clone(), config.clone());
     if let Some(path) = &snapshot_path {
-        if let Some(parent) = std::path::Path::new(path).parent() {
+        if let Some(parent) = path.parent() {
             let _ = std::fs::create_dir_all(parent);
         }
         sim.set_snapshot_policy(Some(qo_advisor::SnapshotPolicy::every_day(path)));
@@ -377,7 +306,7 @@ fn main() {
              \"restore_ns\":{},\"bytes\":{}}}}},\
              \"days\":[{}]}}",
             probe_start.elapsed().as_secs_f64() * 1e3,
-            threads.unwrap_or(1),
+            config.parallelism.threads.unwrap_or(1),
             config.cache.enabled,
             config.exec_cache.enabled,
             config.feature_cache.enabled,

@@ -24,8 +24,8 @@ pub struct Env {
 impl Env {
     /// Deterministic environment used by every experiment (the "production
     /// SCOPE workload" of the evaluation), under the given literal-redraw
-    /// policy — callers plumb the CLI-selected policy here so `--literals`
-    /// really does govern every simulated workload of a run.
+    /// policy — callers plumb the `QO_LITERALS` policy here so it really
+    /// does govern every simulated workload of a run.
     #[must_use]
     pub fn standard(seed: u64, num_templates: usize, literals: LiteralPolicy) -> Env {
         Env {

@@ -124,23 +124,12 @@ impl Default for FeatureCacheConfig {
 }
 
 impl FeatureCacheConfig {
-    /// A disabled cache (the `--feature-cache off` setting).
+    /// A disabled cache (the `QO_FEATURE_CACHE=off` setting).
     #[must_use]
     pub fn disabled() -> Self {
         Self {
             enabled: false,
             ..Self::default()
-        }
-    }
-
-    /// Parse the shared `QO_FEATURE_CACHE` / `--feature-cache` switch
-    /// spellings (`on`/`1`/`true`, `off`/`0`/`false`) into a config, so
-    /// every CLI entry point accepts the identical vocabulary.
-    pub fn parse_switch(value: &str) -> Result<Self, String> {
-        match value {
-            "on" | "1" | "true" => Ok(Self::default()),
-            "off" | "0" | "false" => Ok(Self::disabled()),
-            other => Err(format!("expected on|off, got `{other}`")),
         }
     }
 }

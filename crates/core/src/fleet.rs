@@ -780,15 +780,7 @@ mod tests {
             let days = fleet.run(2).expect("fleet days run clean");
             days.into_iter()
                 .flat_map(|d| d.outcomes)
-                .map(|o| {
-                    let mut r = o.report;
-                    r.compile_cache = Default::default();
-                    r.exec_cache = Default::default();
-                    r.delta_compile = Default::default();
-                    r.feature_cache = Default::default();
-                    r.timings = Default::default();
-                    format!("{r:?}")
-                })
+                .map(|o| format!("{:?}", o.report.without_telemetry()))
                 .collect::<Vec<_>>()
         };
         assert_eq!(run(1, 1), run(8, 512));

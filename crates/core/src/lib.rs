@@ -74,7 +74,7 @@ pub(crate) mod stages;
 pub mod validation_model;
 
 pub use baselines::{random_flip, Negi2021, Negi2021Outcome};
-pub use config::{ParallelismConfig, PipelineConfig, RecommendStrategy};
+pub use config::{KnobError, ParallelismConfig, PipelineConfig, RecommendStrategy, RunKnobs};
 pub use features::{
     action_slate, context_features, context_features_opt, job_features, reward_from_costs,
     span_block, FeatureCache, FeatureCacheConfig,

@@ -254,6 +254,25 @@ pub struct DailyReport {
     pub timings: crate::monitoring::StageTimings,
 }
 
+impl DailyReport {
+    /// This report with its telemetry-only fields zeroed: the cache, delta
+    /// and feature-cache counters and the stage timings. What is left (the
+    /// steering outputs plus the deterministic `compile_budget` tallies) is
+    /// what reproducibility comparisons hold byte-identical across thread
+    /// counts, worker counts, cache settings and restores.
+    #[must_use]
+    pub fn without_telemetry(&self) -> Self {
+        Self {
+            compile_cache: CacheCounters::default(),
+            exec_cache: ExecCounters::default(),
+            delta_compile: scope_opt::DeltaStats::default(),
+            feature_cache: CacheStats::default(),
+            timings: crate::monitoring::StageTimings::default(),
+            ..self.clone()
+        }
+    }
+}
+
 /// The QO-Advisor system: pipeline state that persists across days. The
 /// per-day work is decomposed into the five stage functions of
 /// `crate::stages`, which access this state directly.

@@ -167,10 +167,10 @@ impl LiteralPolicy {
     }
 }
 
-/// Parse the CLI/env spelling of a policy: `fresh`, `sticky`, `sticky:N`
-/// (redraw every `N` days), or `mixed:F` (sticky fraction `F` in `[0, 1]`).
-/// Both the `experiments --literals` flag and the `QO_LITERALS` environment
-/// variable (probe and experiments) go through this one parser.
+/// Parse the `QO_LITERALS` spelling of a policy: `fresh`, `sticky`,
+/// `sticky:N` (redraw every `N` days), or `mixed:F` (sticky fraction `F` in
+/// `[0, 1]`). The run-knob loader (`qo_advisor::config::RunKnobs`) calls
+/// this one parser for every binary.
 impl std::str::FromStr for LiteralPolicy {
     type Err = String;
 

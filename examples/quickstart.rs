@@ -4,16 +4,17 @@
 //! ```text
 //! cargo run --release --example quickstart
 //! ```
+//!
+//! The `QO_CACHE`, `QO_EXEC_CACHE`, `QO_DELTA`, `QO_FEATURE_CACHE` and
+//! `QO_COMPILE_BUDGET` knobs (table in `qo_advisor::config`) switch the
+//! machinery the steps below use.
 
-use qo_advisor::{span_block, FeatureCache, FeatureCacheConfig};
+use qo_advisor::{span_block, FeatureCache, RunKnobs};
 use scope_ir::display::{explain_logical, explain_physical};
 use scope_ir::stats::DualStats;
 use scope_lang::{bind_script, Catalog, TableInfo};
-use scope_opt::{
-    compute_span, CacheConfig, CachingOptimizer, CompileBudget, DeltaConfig, Hint, HintSet,
-    Optimizer, RuleConfig, RuleFlip,
-};
-use scope_runtime::{CachingExecutor, Cluster, ExecCacheConfig, Executor};
+use scope_opt::{compute_span, CachingOptimizer, Hint, HintSet, Optimizer, RuleConfig, RuleFlip};
+use scope_runtime::{CachingExecutor, Cluster, Executor};
 
 const SCRIPT: &str = r#"
     // Daily revenue rollup: filter the fact table, join the dimension,
@@ -29,6 +30,8 @@ const SCRIPT: &str = r#"
 "#;
 
 fn main() {
+    let knobs = RunKnobs::from_env_or_exit().pipeline;
+
     // 1. Bind the script against a catalog (stale estimates included).
     let mut catalog = Catalog::default();
     catalog.register(
@@ -71,15 +74,7 @@ fn main() {
     // partial memo (unlimited by default). At unlimited budget the result
     // is byte-identical to `compile`; at a finite budget the compile may be
     // truncated but still yields a valid executable plan.
-    let budget = std::env::var("QO_COMPILE_BUDGET").map_or_else(
-        |_| CompileBudget::unlimited(),
-        |value| {
-            CompileBudget::parse(&value).unwrap_or_else(|e| {
-                eprintln!("bad QO_COMPILE_BUDGET: {e}");
-                std::process::exit(2);
-            })
-        },
-    );
+    let budget = knobs.compile_budget;
     let budgeted = optimizer
         .compile_budgeted(&plan, &default, budget)
         .expect("budgeted compile shares the default path's success");
@@ -111,15 +106,7 @@ fn main() {
     // The block is template-stable, so the daily pipeline memoizes it in a
     // span-feature cache; `QO_FEATURE_CACHE=off` disables the cache (on by
     // default) — the features are byte-identical either way.
-    let fc = std::env::var("QO_FEATURE_CACHE").map_or_else(
-        |_| FeatureCacheConfig::default(),
-        |value| {
-            FeatureCacheConfig::parse_switch(&value).unwrap_or_else(|e| {
-                eprintln!("bad QO_FEATURE_CACHE: {e}");
-                std::process::exit(2);
-            })
-        },
-    );
+    let fc = knobs.feature_cache;
     let block = match fc.enabled.then(|| FeatureCache::new(fc)) {
         Some(cache) => {
             let first = cache.span_block_for(plan.template_id(), &span, 6);
@@ -141,17 +128,8 @@ fn main() {
     // configuration's shared base memo. `QO_DELTA=off` disables delta
     // compilation (on by default) — the results are byte-identical either
     // way, only throughput differs.
-    let delta = std::env::var("QO_DELTA").map_or_else(
-        |_| DeltaConfig::default(),
-        |value| {
-            DeltaConfig::parse_switch(&value).unwrap_or_else(|e| {
-                eprintln!("bad QO_DELTA: {e}");
-                std::process::exit(2);
-            })
-        },
-    );
-    let steering =
-        CachingOptimizer::new(optimizer.clone(), CacheConfig::default()).with_delta(delta);
+    let delta = knobs.delta;
+    let steering = CachingOptimizer::new(optimizer.clone(), knobs.cache).with_delta(delta);
     let flips: Vec<RuleFlip> = span
         .span
         .iter()
@@ -190,16 +168,7 @@ fn main() {
     // 5. Execute default vs steered on the simulated cluster, through the
     // Executor trait. `QO_EXEC_CACHE=off` disables the execution-result
     // cache (on by default) — results are bit-identical either way.
-    let exec_cache = std::env::var("QO_EXEC_CACHE").map_or_else(
-        |_| ExecCacheConfig::default(),
-        |value| {
-            ExecCacheConfig::parse_switch(&value).unwrap_or_else(|e| {
-                eprintln!("bad QO_EXEC_CACHE: {e}");
-                std::process::exit(2);
-            })
-        },
-    );
-    let executor = CachingExecutor::with_config(Cluster::default(), exec_cache);
+    let executor = CachingExecutor::with_config(Cluster::default(), knobs.exec_cache);
     let base = executor.execute(&compiled.physical, 42, 1);
     println!(
         "\ndefault run:  latency {:>7.1}s  PNhours {:>7.3}  vertices {:>4}  read {:.2e} B",

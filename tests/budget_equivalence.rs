@@ -21,14 +21,16 @@
 //! budget; `tests/fleet_determinism.rs` covers the fleet's separate
 //! per-job stream budget ([`StreamConfig::compile_budget`]).
 
+mod common;
+
+use common::hint_files;
 use qo_advisor::{
-    BudgetStats, CacheConfig, CacheCounters, CacheStats, DailyReport, DeltaConfig, DeltaStats,
-    ExecCacheConfig, ExecCounters, ParallelismConfig, PipelineConfig, ProductionSim, StageTimings,
+    BudgetStats, CacheConfig, DailyReport, DeltaConfig, ExecCacheConfig, ParallelismConfig,
+    PipelineConfig, ProductionSim,
 };
 use scope_opt::{compute_span, BudgetOutcome, CompileBudget, Optimizer, RuleConfig, RuleFlip};
 use scope_workload::{Workload, WorkloadConfig};
 use sis::SisStore;
-use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 // ---------------------------------------------------------------------------
@@ -238,29 +240,11 @@ fn normalized(reports: &[DailyReport], zero_budget: bool) -> Vec<String> {
     reports
         .iter()
         .map(|report| {
-            let mut report = report.clone();
-            report.compile_cache = CacheCounters::default();
-            report.exec_cache = ExecCounters::default();
-            report.delta_compile = DeltaStats::default();
-            report.feature_cache = CacheStats::default();
-            report.timings = StageTimings::default();
+            let mut report = report.without_telemetry();
             if zero_budget {
                 report.compile_budget = BudgetStats::default();
             }
             format!("{report:?}")
-        })
-        .collect()
-}
-
-/// All published hint files in a SIS directory, name → raw bytes.
-fn hint_files(dir: &Path) -> BTreeMap<String, Vec<u8>> {
-    std::fs::read_dir(dir)
-        .expect("sis dir exists")
-        .map(|entry| {
-            let entry = entry.expect("readable dir entry");
-            let name = entry.file_name().to_string_lossy().into_owned();
-            let bytes = std::fs::read(entry.path()).expect("readable hint file");
-            (name, bytes)
         })
         .collect()
 }

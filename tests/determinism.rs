@@ -19,14 +19,16 @@
 //! steering outputs. `normalized` zeroes them before formatting; everything
 //! else must match to the byte.
 
+mod common;
+
+use common::hint_files;
 use qo_advisor::ProductionSim;
 use qo_advisor::{
-    CacheConfig, CacheCounters, CacheStats, DailyReport, DeltaConfig, DeltaStats, ExecCacheConfig,
-    ExecCounters, FeatureCacheConfig, ParallelismConfig, PipelineConfig, StageTimings,
+    CacheConfig, CacheCounters, CacheStats, DailyReport, DeltaConfig, ExecCacheConfig,
+    ExecCounters, FeatureCacheConfig, ParallelismConfig, PipelineConfig,
 };
 use scope_workload::{LiteralPolicy, WorkloadConfig};
 use sis::SisStore;
-use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 const DAYS: u32 = 3;
@@ -118,28 +120,7 @@ fn run_sim(threads: Option<usize>, cache: CacheConfig, sis_dir: &Path) -> Vec<Da
 fn normalized(reports: &[DailyReport]) -> Vec<String> {
     reports
         .iter()
-        .map(|report| {
-            let mut report = report.clone();
-            report.compile_cache = CacheCounters::default();
-            report.exec_cache = ExecCounters::default();
-            report.delta_compile = DeltaStats::default();
-            report.feature_cache = CacheStats::default();
-            report.timings = StageTimings::default();
-            format!("{report:?}")
-        })
-        .collect()
-}
-
-/// All published hint files in a SIS directory, name → raw bytes.
-fn hint_files(dir: &Path) -> BTreeMap<String, Vec<u8>> {
-    std::fs::read_dir(dir)
-        .expect("sis dir exists")
-        .map(|entry| {
-            let entry = entry.expect("readable dir entry");
-            let name = entry.file_name().to_string_lossy().into_owned();
-            let bytes = std::fs::read(entry.path()).expect("readable hint file");
-            (name, bytes)
-        })
+        .map(|report| format!("{:?}", report.without_telemetry()))
         .collect()
 }
 

@@ -26,12 +26,15 @@
 //!   * serving bar: overlapping tenants' shared caches lift the lifetime
 //!     compile+feature hit rate ≥ 1.2x over isolated per-tenant caches.
 
+mod common;
+
+use common::hint_files;
 use qo_advisor::fleet::{
     disjoint_workloads, overlapping_workloads, Fleet, FleetConfig, StreamConfig,
 };
 use qo_advisor::{
-    CacheConfig, CacheCounters, CacheStats, CompileBudget, DailyReport, DeltaConfig, DeltaStats,
-    ExecCacheConfig, ExecCounters, FeatureCacheConfig, PipelineConfig, ProductionSim, StageTimings,
+    CacheConfig, CompileBudget, DailyReport, DeltaConfig, ExecCacheConfig, FeatureCacheConfig,
+    PipelineConfig, ProductionSim,
 };
 use scope_workload::WorkloadConfig;
 use sis::SisStore;
@@ -88,26 +91,7 @@ impl Drop for TempTree {
 }
 
 fn normalized(report: &DailyReport) -> String {
-    let mut report = report.clone();
-    report.compile_cache = CacheCounters::default();
-    report.exec_cache = ExecCounters::default();
-    report.delta_compile = DeltaStats::default();
-    report.feature_cache = CacheStats::default();
-    report.timings = StageTimings::default();
-    format!("{report:?}")
-}
-
-/// All published hint files in a SIS directory, name → raw bytes.
-fn hint_files(dir: &Path) -> BTreeMap<String, Vec<u8>> {
-    std::fs::read_dir(dir)
-        .expect("sis dir exists")
-        .map(|entry| {
-            let entry = entry.expect("readable dir entry");
-            let name = entry.file_name().to_string_lossy().into_owned();
-            let bytes = std::fs::read(entry.path()).expect("readable hint file");
-            (name, bytes)
-        })
-        .collect()
+    format!("{:?}", report.without_telemetry())
 }
 
 /// `days` fleet days over per-tenant SIS dirs under `root`; returns the

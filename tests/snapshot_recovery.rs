@@ -22,14 +22,15 @@
 //!   * cross: fresh + sticky literals × caches on/off × 1/8 worker
 //!     threads over a 6-day run, killed at every boundary 1..=5.
 
+mod common;
+
+use common::hint_files;
 use qo_advisor::{
-    CacheConfig, CacheCounters, CacheStats, DailyReport, DeltaConfig, DeltaStats, ExecCacheConfig,
-    ExecCounters, FeatureCacheConfig, ParallelismConfig, PipelineConfig, ProductionSim,
-    SnapshotPolicy, StageTimings,
+    CacheConfig, DailyReport, DeltaConfig, ExecCacheConfig, FeatureCacheConfig, ParallelismConfig,
+    PipelineConfig, ProductionSim, SnapshotPolicy,
 };
 use scope_workload::{LiteralPolicy, WorkloadConfig};
 use sis::SisStore;
-use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 fn workload() -> WorkloadConfig {
@@ -83,26 +84,7 @@ impl Drop for TempTree {
 }
 
 fn normalized(report: &DailyReport) -> String {
-    let mut report = report.clone();
-    report.compile_cache = CacheCounters::default();
-    report.exec_cache = ExecCounters::default();
-    report.delta_compile = DeltaStats::default();
-    report.feature_cache = CacheStats::default();
-    report.timings = StageTimings::default();
-    format!("{report:?}")
-}
-
-/// All published hint files in a SIS directory, name → raw bytes.
-fn hint_files(dir: &Path) -> BTreeMap<String, Vec<u8>> {
-    std::fs::read_dir(dir)
-        .expect("sis dir exists")
-        .map(|entry| {
-            let entry = entry.expect("readable dir entry");
-            let name = entry.file_name().to_string_lossy().into_owned();
-            let bytes = std::fs::read(entry.path()).expect("readable hint file");
-            (name, bytes)
-        })
-        .collect()
+    format!("{:?}", report.without_telemetry())
 }
 
 fn fresh_sim(wl: &WorkloadConfig, config: &PipelineConfig, sis_dir: &Path) -> ProductionSim {
