@@ -4,9 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use flighting::{FlightBudget, FlightingService};
-use qo_advisor::{
-    CacheConfig, ExecCacheConfig, ParallelismConfig, PipelineConfig, ProductionSim, QoAdvisor,
-};
+use qo_advisor::{CacheConfig, ParallelismConfig, PipelineConfig, ProductionSim, QoAdvisor};
 use scope_opt::Optimizer;
 use scope_runtime::Cluster;
 use scope_workload::{build_view, LiteralPolicy, Workload, WorkloadConfig};
@@ -196,9 +194,7 @@ fn bench_pipeline_compile_cache(c: &mut Criterion) {
 /// the paper assumes: every warm day's production compile repeats a day-0
 /// plan, so the shared sim-wide cache turns `build_view` into lookups and
 /// this pair shows the cache's headline win. Fresh literals bound the same
-/// comparison from below (only within-day repeats can hit). The execution
-/// cache is OFF in every variant so the pair isolates the compile cache;
-/// `bench_sim_exec_cache` below layers the execution cache on top.
+/// comparison from below (only within-day repeats can hit).
 fn bench_sim_advance_day(c: &mut Criterion) {
     let policies = [
         ("fresh", LiteralPolicy::FreshEachRun),
@@ -231,7 +227,6 @@ fn bench_sim_advance_day(c: &mut Criterion) {
                                 workload.clone(),
                                 PipelineConfig {
                                     cache,
-                                    exec_cache: ExecCacheConfig::disabled(),
                                     // Pinned off so this pair keeps its
                                     // PR 3 meaning (compile cache alone).
                                     delta: qo_advisor::DeltaConfig::disabled(),
@@ -258,68 +253,10 @@ fn bench_sim_advance_day(c: &mut Criterion) {
     }
 }
 
-/// The execution cache's report card: the same sticky 3-day closed loop with
-/// the compile cache ON in both arms, execution cache off vs on. The delta
-/// over `sim_advance_3_days_48_templates_sticky_cached` (whose remaining
-/// cost is execution-dominated, per ROADMAP) is what the `Executor` refactor
-/// buys: memoized stage graphs for every recurring plan, plus whole-run
-/// replays wherever seeds repeat exactly. Outputs are byte-identical in
-/// both arms.
-fn bench_sim_exec_cache(c: &mut Criterion) {
-    let workload = WorkloadConfig {
-        seed: 2022,
-        num_templates: 48,
-        adhoc_per_day: 4,
-        max_instances_per_day: 1,
-        literals: LiteralPolicy::Sticky {
-            redraw_every_days: 0,
-        },
-    };
-    let cases = [
-        ("exec_uncached", ExecCacheConfig::disabled()),
-        ("exec_cached", ExecCacheConfig::default()),
-    ];
-    for (name, exec_cache) in cases {
-        c.bench_function(
-            &format!("sim_advance_3_days_48_templates_sticky_{name}"),
-            |b| {
-                b.iter_batched(
-                    || {
-                        ProductionSim::new(
-                            workload.clone(),
-                            PipelineConfig {
-                                cache: CacheConfig::default(),
-                                exec_cache,
-                                // Pinned off so this pair keeps its PR 4
-                                // meaning (execution cache alone);
-                                // `bench_sim_delta_compile` layers delta on.
-                                delta: qo_advisor::DeltaConfig::disabled(),
-                                ..PipelineConfig::default()
-                            },
-                        )
-                    },
-                    |mut sim| {
-                        let mut published = 0;
-                        for _ in 0..3 {
-                            published += sim
-                                .advance_day()
-                                .expect("generated workloads compile")
-                                .report
-                                .hints_published;
-                        }
-                        black_box(published)
-                    },
-                    BatchSize::PerIteration,
-                )
-            },
-        );
-    }
-}
-
 /// Delta compilation's report card: the same sticky 3-day closed loop with
-/// both result caches ON in both arms (the PR 4 shipping configuration),
-/// delta slate compilation off vs on. The remaining cost of the
-/// `..._sticky_exec_cached` baseline is compile-miss-bound — the ~40-60
+/// the compile cache ON in both arms, delta slate compilation off vs on.
+/// The remaining cost of the compile-cached baseline is compile-miss-bound
+/// — the ~40-60
 /// fresh flip treatments recommendation and flighting price per day are
 /// genuinely new `(plan, config)` pairs the caches can never serve — and
 /// pricing them against the shared base memo is the lever that attacks it.
@@ -348,7 +285,6 @@ fn bench_sim_delta_compile(c: &mut Criterion) {
                             workload.clone(),
                             PipelineConfig {
                                 cache: CacheConfig::default(),
-                                exec_cache: ExecCacheConfig::default(),
                                 delta,
                                 ..PipelineConfig::default()
                             },
@@ -373,7 +309,7 @@ fn bench_sim_delta_compile(c: &mut Criterion) {
 }
 
 /// The recommend/featurize fast path's report card: one *warm* sticky day
-/// (the steady-state regime — every compile/graph already cached, delta on;
+/// (the steady-state regime — every compile already cached, delta on;
 /// setup advances 3 days first) with the span-feature cache and batched
 /// sparse rank scoring off vs on. With compiles amortized by PRs 2–5, the
 /// warm day is featurization/scoring-bound, and these two knobs attack
@@ -427,7 +363,7 @@ criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
     targets = bench_pipeline, bench_pipeline_parallelism, bench_pipeline_compile_cache,
-        bench_sim_advance_day, bench_sim_exec_cache, bench_sim_delta_compile,
+        bench_sim_advance_day, bench_sim_delta_compile,
         bench_sim_recommend_fastpath
 }
 criterion_main!(benches);

@@ -5,7 +5,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use scope_ir::stats::DualStats;
 use scope_lang::{bind_script, Catalog, TableInfo};
 use scope_opt::Optimizer;
-use scope_runtime::{execute, CachingExecutor, Cluster, ExecCacheConfig, Executor, StageGraph};
+use scope_runtime::{execute, Cluster, StageGraph};
 use std::hint::black_box;
 
 fn physical() -> scope_ir::PhysicalPlan {
@@ -51,24 +51,6 @@ fn bench_runtime(c: &mut Criterion) {
     let quiet = Cluster::deterministic();
     c.bench_function("execute_deterministic", |b| {
         b.iter(|| black_box(execute(black_box(&plan), &quiet, 7, 0).pn_hours))
-    });
-
-    // Fresh run seeds through the caching executor: every call misses the
-    // result map but reuses the memoized stage graph — the delta vs
-    // `execute_with_variance` is the graph-build share of execute().
-    let memoized = CachingExecutor::with_config(Cluster::default(), ExecCacheConfig::default());
-    c.bench_function("execute_with_graph_memo", |b| {
-        let mut run = 0u64;
-        b.iter(|| {
-            run += 1;
-            black_box(memoized.execute(black_box(&plan), 7, run).pn_hours)
-        })
-    });
-
-    // Identical seeds: the whole run replays from the result map (the A/A
-    // re-probe regime).
-    c.bench_function("execute_cached_replay", |b| {
-        b.iter(|| black_box(memoized.execute(black_box(&plan), 7, 0).pn_hours))
     });
 }
 

@@ -27,7 +27,7 @@ use qo_advisor::{
 };
 use qo_bench::corpus::{write_csv, Env};
 use qo_bench::{mean, pearson, percentile, polyfit1};
-use scope_runtime::{Cluster, ClusterExecutor, Executor};
+use scope_runtime::{Cluster, Executor};
 use scope_workload::{build_view, WorkloadConfig};
 
 /// The run knobs, loaded from the environment once.
@@ -156,7 +156,7 @@ fn fig2_fig4() {
             ..FlightBudget::default()
         },
     );
-    let preprod_exec = ClusterExecutor::new(Cluster::preproduction());
+    let preprod = Cluster::preproduction();
 
     // Every estimated-cost-improving span flip of two days of jobs (the
     // candidates the early pipeline would have A/B-tested).
@@ -176,8 +176,8 @@ fn fig2_fig4() {
             }
         }
     }
-    let (week0, _) = svc.flight_batch(&env.optimizer, &preprod_exec, &requests);
-    let (week1, _) = svc.flight_batch(&env.optimizer, &preprod_exec, &requests);
+    let (week0, _) = svc.flight_batch(&env.optimizer, &preprod, &requests);
+    let (week1, _) = svc.flight_batch(&env.optimizer, &preprod, &requests);
 
     let mut rows = Vec::new();
     let mut lat = Vec::new();
@@ -277,7 +277,7 @@ fn fig6() {
             ..FlightBudget::default()
         },
     );
-    let preprod_exec = ClusterExecutor::new(Cluster::preproduction());
+    let preprod = Cluster::preproduction();
     let mut est = Vec::new();
     let mut lat = Vec::new();
     // ~5 days of jobs, every lower-estimate flip per job (paper: 950 jobs
@@ -302,7 +302,7 @@ fn fig6() {
                 });
             }
         }
-        let (outcomes, _) = svc.flight_batch(&env.optimizer, &preprod_exec, &requests);
+        let (outcomes, _) = svc.flight_batch(&env.optimizer, &preprod, &requests);
         for (d, o) in deltas.iter().zip(outcomes.iter()) {
             if let Some(m) = o.measurement() {
                 est.push(*d);
@@ -347,7 +347,7 @@ fn gather_samples(env: &Env, days: std::ops::Range<u32>, salt: u64) -> Vec<Valid
             ..FlightBudget::default()
         },
     );
-    let preprod_exec = ClusterExecutor::new(Cluster::preproduction());
+    let preprod = Cluster::preproduction();
     let mut samples = Vec::new();
     for day in days {
         let jobs = env.spanned_jobs(day);
@@ -364,7 +364,7 @@ fn gather_samples(env: &Env, days: std::ops::Range<u32>, salt: u64) -> Vec<Valid
                 }
             })
             .collect();
-        let (outcomes, _) = svc.flight_batch(&env.optimizer, &preprod_exec, &requests);
+        let (outcomes, _) = svc.flight_batch(&env.optimizer, &preprod, &requests);
         samples.extend(
             outcomes
                 .iter()
@@ -815,7 +815,7 @@ fn negi_maintenance_cost() {
             ..FlightBudget::default()
         },
     );
-    let preprod_exec = ClusterExecutor::new(Cluster::preproduction());
+    let preprod = Cluster::preproduction();
     // A scaled-down heuristic (200 samples instead of 1000) keeps the bench
     // quick; the printed numbers extrapolate linearly.
     let heuristic = qo_advisor::Negi2021 {
@@ -833,7 +833,7 @@ fn negi_maintenance_cost() {
         let out = heuristic.search(
             &env.optimizer,
             &mut svc,
-            &preprod_exec,
+            &preprod,
             j.job.template,
             &j.job.plan,
             j.job.job_seed,

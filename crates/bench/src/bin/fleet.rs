@@ -51,8 +51,6 @@ struct FleetRun {
     max_us: f64,
     compile: CacheStats,
     feature: CacheStats,
-    exec_results: CacheStats,
-    exec_graphs: CacheStats,
     hints_published: usize,
     shed: u64,
     day_lines: Vec<String>,
@@ -78,7 +76,7 @@ impl FleetRun {
             "{{\"jobs\":{},\"wall_ms\":{:.3},\"jobs_per_sec\":{:.1},\
              \"steering_latency_us\":{{\"p50\":{:.1},\"p95\":{:.1},\
              \"p99\":{:.1},\"max\":{:.1}}},\
-             {},{},{},{},\
+             {},{},\
              \"steer_hit_rate\":{:.4},\"hints_published\":{},\"shed\":{},\
              \"days\":[{}]}}",
             self.jobs,
@@ -90,8 +88,6 @@ impl FleetRun {
             self.max_us,
             cache_json("compile_cache", &self.compile),
             cache_json("feature_cache", &self.feature),
-            cache_json("exec_results", &self.exec_results),
-            cache_json("exec_graphs", &self.exec_graphs),
             self.steer_hit_rate(),
             self.hints_published,
             self.shed,
@@ -123,7 +119,6 @@ fn run_fleet(workloads: &[WorkloadConfig], config: &FleetConfig, days: u32) -> F
             day.shed,
         ));
     }
-    let exec = fleet.exec_stats();
     let m = fleet.metrics();
     FleetRun {
         jobs: m.jobs,
@@ -135,8 +130,6 @@ fn run_fleet(workloads: &[WorkloadConfig], config: &FleetConfig, days: u32) -> F
         max_us: m.steering_latency.max() as f64 / 1e3,
         compile: fleet.compile_stats(),
         feature: fleet.feature_stats(),
-        exec_results: exec.results,
-        exec_graphs: exec.graphs,
         hints_published,
         shed: m.shed,
         day_lines,

@@ -4,7 +4,7 @@
 //! raw daily pipeline counters instead.
 //!
 //! With `--json [path]` the probe additionally writes a machine-readable
-//! perf record (per-day stage timings + compile/exec/span-feature-cache and
+//! perf record (per-day stage timings + compile/span-feature-cache and
 //! delta-compilation counters, plus lifetime totals) to
 //! `results/BENCH_probe.json` by default — the cross-PR perf trajectory
 //! artifact described in `PERFORMANCE.md`; CI uploads it on every run.
@@ -13,73 +13,92 @@
 //! [`qo_advisor::config`]: the pipeline knobs, `QO_LITERALS`, and
 //! `QO_SNAPSHOT` (an every-day snapshot plus a timed restore).
 use qo_advisor::{
-    aggregate_impact, DayOutcome, PipelineConfig, ProductionSim, RecommendStrategy, RunKnobs,
+    aggregate_impact, BudgetStats, CacheCounters, CacheStats, DayOutcome, DeltaStats,
+    PipelineConfig, ProductionSim, RecommendStrategy, RunKnobs, StageTimings,
 };
 use scope_workload::WorkloadConfig;
-use std::fmt::Write as _;
+use serde::Serialize;
 use std::time::Instant;
 
-/// Minimal JSON record of one simulated day (hand-rendered: every field is
-/// an integer or float, so no escaping is needed).
-fn day_json(out: &DayOutcome, wall_ms: f64) -> String {
-    let r = &out.report;
-    let t = &r.timings;
-    let cc = r.compile_cache.total();
-    let ec = r.exec_cache.total();
-    let d = &r.delta_compile;
-    let fc = &r.feature_cache;
-    let mut s = String::new();
-    let _ = write!(
-        s,
-        "{{\"day\":{},\"wall_ms\":{wall_ms:.3},\
-         \"timings_ns\":{{\"view_build\":{},\"counterfactual\":{},\
-         \"feature_gen\":{},\"recommend\":{},\"flight\":{},\
-         \"validate\":{},\"publish\":{},\"snapshot\":{},\"restore\":{}}},\
-         \"compile_cache\":{{\"hits\":{},\"misses\":{},\"inserts\":{},\"evictions\":{}}},\
-         \"exec_cache\":{{\"result_hits\":{},\"result_misses\":{},\
-         \"graph_hits\":{},\"graph_misses\":{}}},\
-         \"delta\":{{\"pruned\":{},\"delta\":{},\"full\":{},\
-         \"base_builds\":{},\"base_hits\":{}}},\
-         \"feature_cache\":{{\"hits\":{},\"misses\":{},\"inserts\":{},\"evictions\":{}}},\
-         \"budget\":{{\"complete\":{},\"truncated\":{}}},\
-         \"steering\":{{\"recurring\":{},\"spanned\":{},\"flighted\":{},\
-         \"validated\":{},\"hints_published\":{}}}}}",
-        r.day,
-        t.view_build_ns,
-        t.counterfactual_ns,
-        t.feature_gen_ns,
-        t.recommend_ns,
-        t.flight_ns,
-        t.validate_ns,
-        t.publish_ns,
-        t.snapshot_ns,
-        t.restore_ns,
-        cc.hits,
-        cc.misses,
-        cc.inserts,
-        cc.evictions,
-        ec.results.hits,
-        ec.results.misses,
-        ec.graphs.hits,
-        ec.graphs.misses,
-        d.pruned,
-        d.delta,
-        d.full,
-        d.base_builds,
-        d.base_hits,
-        fc.hits,
-        fc.misses,
-        fc.inserts,
-        fc.evictions,
-        r.compile_budget.complete,
-        r.compile_budget.truncated,
-        r.recurring_jobs,
-        r.jobs_with_span,
-        r.flighted,
-        r.validated,
-        r.hints_published,
-    );
-    s
+/// The JSON perf record `--json` writes.
+#[derive(Serialize)]
+struct ProbeRecord {
+    bench: &'static str,
+    wall_ms: f64,
+    config: RecordConfig,
+    /// Totals over the main simulation's whole run.
+    lifetime: Lifetime,
+    days: Vec<DayRecord>,
+}
+
+#[derive(Serialize)]
+struct RecordConfig {
+    threads: usize,
+    cache: bool,
+    delta: bool,
+    feature_cache: bool,
+    literals: String,
+}
+
+#[derive(Serialize)]
+struct Lifetime {
+    compile_cache: CacheStats,
+    delta: DeltaStats,
+    feature_cache: CacheStats,
+    budget: BudgetStats,
+    snapshot: SnapshotCost,
+}
+
+#[derive(Serialize)]
+struct SnapshotCost {
+    enabled: bool,
+    write_ns_total: u64,
+    restore_ns: u64,
+    bytes: u64,
+}
+
+/// One simulated day of the record.
+#[derive(Serialize)]
+struct DayRecord {
+    day: u32,
+    wall_ms: f64,
+    timings_ns: StageTimings,
+    compile_cache: CacheCounters,
+    delta: DeltaStats,
+    feature_cache: CacheStats,
+    budget: BudgetStats,
+    steering: Steering,
+}
+
+#[derive(Serialize)]
+struct Steering {
+    recurring: usize,
+    spanned: usize,
+    flighted: usize,
+    validated: usize,
+    hints_published: usize,
+}
+
+impl DayRecord {
+    fn new(out: &DayOutcome, wall_ms: f64) -> Self {
+        let r = &out.report;
+        Self {
+            day: r.day,
+            wall_ms,
+            timings_ns: r.timings,
+            compile_cache: r.compile_cache,
+            delta: r.delta_compile,
+            feature_cache: r.feature_cache,
+            budget: r.compile_budget,
+            steering: Steering {
+                recurring: r.recurring_jobs,
+                spanned: r.jobs_with_span,
+                flighted: r.flighted,
+                validated: r.validated,
+                hints_published: r.hints_published,
+            },
+        }
+    }
 }
 
 fn main() {
@@ -128,14 +147,14 @@ fn main() {
         sim.advisor.validation_model()
     );
     let mut all_cmp = Vec::new();
-    let mut day_records: Vec<String> = Vec::new();
+    let mut day_records: Vec<DayRecord> = Vec::new();
     let mut snapshot_write_ns: u64 = 0;
-    let mut advance = |sim: &mut ProductionSim, records: &mut Vec<String>| -> DayOutcome {
+    let mut advance = |sim: &mut ProductionSim, records: &mut Vec<DayRecord>| -> DayOutcome {
         let t = Instant::now();
         let out = sim
             .advance_day()
             .expect("generated workloads compile on the default path");
-        records.push(day_json(&out, t.elapsed().as_secs_f64() * 1e3));
+        records.push(DayRecord::new(&out, t.elapsed().as_secs_f64() * 1e3));
         snapshot_write_ns += out.report.timings.snapshot_ns;
         out
     };
@@ -143,14 +162,12 @@ fn main() {
         let out = advance(&mut sim, &mut day_records);
         let r = &out.report;
         eprintln!(
-            "day {}: span {}/{} lower {} eq {} hi {} fail {} noop {} flighted {} succ {} valid {} hints {} cmp {} cache {}/{} ({:.0}%, view {}/{}) exec {}/{} ({:.0}% full, {:.0}% incl. graphs) delta p/d/f {}/{}/{} (base {}+{})",
+            "day {}: span {}/{} lower {} eq {} hi {} fail {} noop {} flighted {} succ {} valid {} hints {} cmp {} cache {}/{} ({:.0}%, view {}/{}) delta p/d/f {}/{}/{} (base {}+{})",
             r.day, r.jobs_with_span, r.recurring_jobs, r.lower_cost, r.equal_cost, r.higher_cost,
             r.recompile_failures, r.noop_chosen, r.flighted, r.flight_success, r.validated,
             r.hints_published, out.comparisons.len(),
             r.compile_cache.hits(), r.compile_cache.lookups(), 100.0 * r.compile_cache.hit_rate(),
             r.compile_cache.view_build.hits, r.compile_cache.view_build.lookups(),
-            r.exec_cache.hits(), r.exec_cache.lookups(),
-            100.0 * r.exec_cache.hit_rate(), 100.0 * r.exec_cache.partial_hit_rate(),
             r.delta_compile.pruned, r.delta_compile.delta, r.delta_compile.full,
             r.delta_compile.base_builds, r.delta_compile.base_hits
         );
@@ -164,17 +181,6 @@ fn main() {
         100.0 * lifetime.hit_rate(),
         lifetime.inserts,
         lifetime.evictions
-    );
-    let exec_lifetime = sim.advisor.exec_stats();
-    eprintln!(
-        "exec cache lifetime: {} executions, {} full replays ({:.0}%), {} graph hits / {} graph lookups ({:.0}%), {} result evictions",
-        exec_lifetime.lookups(),
-        exec_lifetime.hits(),
-        100.0 * exec_lifetime.hit_rate(),
-        exec_lifetime.graphs.hits,
-        exec_lifetime.graphs.lookups(),
-        100.0 * exec_lifetime.graphs.hit_rate(),
-        exec_lifetime.results.evictions
     );
     let delta_lifetime = sim.advisor.delta_stats();
     eprintln!(
@@ -230,7 +236,6 @@ fn main() {
     // Final snapshots covering the main simulation's WHOLE run (the eprintln
     // blocks above reported the first 10 pipeline days only) — this is what
     // the JSON record's `lifetime` block carries.
-    let exec_lifetime = sim.advisor.exec_stats();
     let delta_lifetime = sim.advisor.delta_stats();
     let feature_lifetime = sim.advisor.feature_stats();
     let budget_lifetime = sim.advisor.budget_stats();
@@ -290,55 +295,35 @@ fn main() {
     });
 
     if let Some(path) = json_path {
-        let delta_cfg_on = config.delta.enabled;
-        let record = format!(
-            "{{\"bench\":\"probe\",\"wall_ms\":{:.3},\
-             \"config\":{{\"threads\":{},\"cache\":{},\"exec_cache\":{},\
-             \"delta\":{delta_cfg_on},\"feature_cache\":{},\"literals\":\"{:?}\"}},\
-             \"lifetime\":{{\
-             \"compile_cache\":{{\"hits\":{},\"misses\":{},\"inserts\":{},\"evictions\":{}}},\
-             \"exec_cache\":{{\"result_hits\":{},\"graph_hits\":{},\"graph_lookups\":{}}},\
-             \"delta\":{{\"pruned\":{},\"delta\":{},\"full\":{},\
-             \"base_builds\":{},\"base_hits\":{}}},\
-             \"feature_cache\":{{\"hits\":{},\"misses\":{},\"inserts\":{},\"evictions\":{}}},\
-             \"budget\":{{\"complete\":{},\"truncated\":{}}},\
-             \"snapshot\":{{\"enabled\":{},\"write_ns_total\":{},\
-             \"restore_ns\":{},\"bytes\":{}}}}},\
-             \"days\":[{}]}}",
-            probe_start.elapsed().as_secs_f64() * 1e3,
-            config.parallelism.threads.unwrap_or(1),
-            config.cache.enabled,
-            config.exec_cache.enabled,
-            config.feature_cache.enabled,
-            literals,
-            lifetime.hits,
-            lifetime.misses,
-            lifetime.inserts,
-            lifetime.evictions,
-            exec_lifetime.results.hits,
-            exec_lifetime.graphs.hits,
-            exec_lifetime.graphs.lookups(),
-            delta_lifetime.pruned,
-            delta_lifetime.delta,
-            delta_lifetime.full,
-            delta_lifetime.base_builds,
-            delta_lifetime.base_hits,
-            feature_lifetime.hits,
-            feature_lifetime.misses,
-            feature_lifetime.inserts,
-            feature_lifetime.evictions,
-            budget_lifetime.complete,
-            budget_lifetime.truncated,
-            snapshot_path.is_some(),
-            snapshot_write_ns,
-            snapshot_restore_ns,
-            snapshot_bytes,
-            day_records.join(",")
-        );
+        let record = ProbeRecord {
+            bench: "probe",
+            wall_ms: probe_start.elapsed().as_secs_f64() * 1e3,
+            config: RecordConfig {
+                threads: config.parallelism.threads.unwrap_or(1),
+                cache: config.cache.enabled,
+                delta: config.delta.enabled,
+                feature_cache: config.feature_cache.enabled,
+                literals: format!("{literals:?}"),
+            },
+            lifetime: Lifetime {
+                compile_cache: lifetime,
+                delta: delta_lifetime,
+                feature_cache: feature_lifetime,
+                budget: budget_lifetime,
+                snapshot: SnapshotCost {
+                    enabled: snapshot_path.is_some(),
+                    write_ns_total: snapshot_write_ns,
+                    restore_ns: snapshot_restore_ns,
+                    bytes: snapshot_bytes,
+                },
+            },
+            days: day_records,
+        };
+        let json = serde_json::to_string(&record).expect("serialize perf record");
         if let Some(parent) = std::path::Path::new(&path).parent() {
             std::fs::create_dir_all(parent).expect("create results dir");
         }
-        std::fs::write(&path, record).expect("write perf record");
+        std::fs::write(&path, json).expect("write perf record");
         eprintln!("perf record written to {path}");
     }
 }

@@ -12,7 +12,6 @@
 //! |-----------------|-----------------------------------|--------|
 //! | `QO_THREADS`    | integer (`0` = all cores)         | Worker threads for the pipeline's compile-bound fan-outs ([`ParallelismConfig`]); unset/`1` = serial |
 //! | `QO_CACHE`      | `on`/`1`/`true`, `off`/`0`/`false`| Compile-result cache ([`scope_opt::CacheConfig`], on by default) shared across view building, span fixpoint, recommendation, flighting, and days |
-//! | `QO_EXEC_CACHE` | `on`/`1`/`true`, `off`/`0`/`false`| Execution-result cache ([`scope_runtime::ExecCacheConfig`], on by default) shared across production runs, counterfactual runs, flighting, and days — memoizes stage graphs and whole simulated runs |
 //! | `QO_DELTA`      | `on`/`1`/`true`, `off`/`0`/`false`| Delta treatment compilation ([`scope_opt::DeltaConfig`], on by default): recommendation and flighting treatment slates are priced as incremental passes over a shared per-plan base memo instead of from-scratch compiles — byte-identical results, only throughput differs |
 //! | `QO_LITERALS`   | `fresh`, `sticky`, `sticky:N`, `mixed:F` | Literal-redraw policy ([`scope_workload::LiteralPolicy`]) of recurring templates: fresh per run (default), pinned per N-day epoch (`sticky:0` = forever), or a sticky fraction `F` of templates |
 //! | `QO_FEATURE_CACHE` | `on`/`1`/`true`, `off`/`0`/`false`| Span-feature cache ([`crate::features::FeatureCache`], on by default): the CB context's C(S,2)+C(S,3) span co-occurrence block is built once per template and memoized keyed on `(template, span fingerprint)` instead of rebuilt per job-day — byte-identical context vectors, only throughput differs |
@@ -27,8 +26,8 @@
 //! `quickstart` example reads the cache, delta and budget knobs and applies
 //! them to its single compile. Programmatic equivalents:
 //! [`PipelineConfig::parallelism`], [`PipelineConfig::cache`],
-//! [`PipelineConfig::exec_cache`], [`PipelineConfig::delta`],
-//! [`PipelineConfig::feature_cache`], [`PipelineConfig::compile_budget`],
+//! [`PipelineConfig::delta`], [`PipelineConfig::feature_cache`],
+//! [`PipelineConfig::compile_budget`],
 //! [`scope_workload::WorkloadConfig::literals`], and
 //! [`crate::simulation::ProductionSim::set_snapshot_policy`].
 
@@ -37,7 +36,6 @@ use crate::fleet::StreamConfig;
 use flighting::FlightBudget;
 use personalizer::CbConfig;
 use scope_opt::{CacheConfig, CompileBudget, DeltaConfig};
-use scope_runtime::ExecCacheConfig;
 use scope_workload::LiteralPolicy;
 use serde::{Deserialize, Serialize};
 use std::path::PathBuf;
@@ -92,18 +90,12 @@ pub struct PipelineConfig {
     /// byte-identical to uncached ones — the cache is purely a throughput
     /// knob, like `parallelism`).
     pub cache: CacheConfig,
-    /// Execution-result cache over every simulated run of the closed loop
-    /// (production view builds, counterfactual default runs, flighting
-    /// baseline/treatment pairs). Execution is deterministic given the plan
-    /// and seeds, so — exactly like `cache` — this is a throughput knob
-    /// that never changes steering outputs.
-    pub exec_cache: ExecCacheConfig,
     /// Delta treatment compilation over the recommendation/flighting
     /// slates: each plan's default compilation is frozen as a shared
     /// `scope_opt::delta::BaseMemo` and rule-flip treatments are priced
     /// incrementally against it. Byte-identical to from-scratch compiles
     /// (asserted in `tests/delta_equivalence.rs` and
-    /// `tests/determinism.rs`), so — like the two result caches — a pure
+    /// `tests/determinism.rs`), so — like the result caches — a pure
     /// throughput knob.
     pub delta: DeltaConfig,
     /// Span-feature cache over the CB context's span co-occurrence block
@@ -156,7 +148,6 @@ impl Default for PipelineConfig {
             strategy: RecommendStrategy::ContextualBandit,
             parallelism: ParallelismConfig::serial(),
             cache: CacheConfig::default(),
-            exec_cache: ExecCacheConfig::default(),
             delta: DeltaConfig::default(),
             feature_cache: FeatureCacheConfig::default(),
             compile_budget: CompileBudget::unlimited(),
@@ -179,8 +170,7 @@ impl Default for PipelineConfig {
 #[derive(Debug, Clone)]
 pub struct RunKnobs {
     /// [`PipelineConfig::default`] with `QO_THREADS`, `QO_CACHE`,
-    /// `QO_EXEC_CACHE`, `QO_DELTA`, `QO_FEATURE_CACHE` and
-    /// `QO_COMPILE_BUDGET` applied.
+    /// `QO_DELTA`, `QO_FEATURE_CACHE` and `QO_COMPILE_BUDGET` applied.
     pub pipeline: PipelineConfig,
     /// `QO_LITERALS` (default [`LiteralPolicy::FreshEachRun`]).
     pub literals: LiteralPolicy,
@@ -240,9 +230,6 @@ impl RunKnobs {
         }
         if knob(read("QO_CACHE"), switch)? == Some(false) {
             pipeline.cache = CacheConfig::disabled();
-        }
-        if knob(read("QO_EXEC_CACHE"), switch)? == Some(false) {
-            pipeline.exec_cache = ExecCacheConfig::disabled();
         }
         if knob(read("QO_DELTA"), switch)? == Some(false) {
             pipeline.delta = DeltaConfig::disabled();
@@ -341,13 +328,6 @@ mod tests {
         assert_eq!(k.pipeline.parallelism, ParallelismConfig::with_threads(4));
         assert!(!load(&[("QO_CACHE", "off")]).unwrap().pipeline.cache.enabled);
         assert!(
-            !load(&[("QO_EXEC_CACHE", "0")])
-                .unwrap()
-                .pipeline
-                .exec_cache
-                .enabled
-        );
-        assert!(
             !load(&[("QO_DELTA", "false")])
                 .unwrap()
                 .pipeline
@@ -362,13 +342,7 @@ mod tests {
                 .enabled
         );
         for on in ["on", "1", "true"] {
-            let k = load(&[
-                ("QO_CACHE", on),
-                ("QO_EXEC_CACHE", on),
-                ("QO_DELTA", on),
-                ("QO_FEATURE_CACHE", on),
-            ])
-            .unwrap();
+            let k = load(&[("QO_CACHE", on), ("QO_DELTA", on), ("QO_FEATURE_CACHE", on)]).unwrap();
             assert_eq!(
                 format!("{:?}", k.pipeline),
                 format!("{:?}", PipelineConfig::default())
@@ -401,7 +375,6 @@ mod tests {
         for (var, bad) in [
             ("QO_THREADS", "many"),
             ("QO_CACHE", "bogus"),
-            ("QO_EXEC_CACHE", "bogus"),
             ("QO_DELTA", "bogus"),
             ("QO_FEATURE_CACHE", "bogus"),
             ("QO_COMPILE_BUDGET", "-3"),

@@ -249,7 +249,7 @@ impl FeatureCache {
         slate
     }
 
-    /// Lifetime counters (same vocabulary as the compile/execution caches),
+    /// Lifetime counters (same vocabulary as the compile cache),
     /// summed over the span-block and slate maps.
     #[must_use]
     pub fn stats(&self) -> CacheStats {

@@ -7,9 +7,9 @@
 //! [`Tenant`]s, each owning a full per-tenant steering loop (workload
 //! identity, SIS namespace, Personalizer bandit state, explored set,
 //! regression monitor, snapshot path), all layered over ONE process-wide
-//! [`SharedCaches`] — compile results, execution results, delta base memos,
-//! and span features are shared across tenants because every key is
-//! tenant-invariant (see [`SharedCaches`] for the argument).
+//! [`SharedCaches`] — compile results, delta base memos, and span features
+//! are shared across tenants because every key is tenant-invariant (see
+//! [`SharedCaches`] for the argument).
 //!
 //! # Streaming pipeline
 //!
@@ -70,7 +70,7 @@
 //! budgeted* run. `tests/fleet_determinism.rs` pins the contract.
 
 use crate::config::PipelineConfig;
-use crate::monitoring::MonitorConfig;
+use crate::monitoring::{ExecStats, MonitorConfig};
 use crate::pipeline::{PipelineError, SharedCaches};
 use crate::simulation::{DayOutcome, ProductionSim};
 use crate::snapshot::SnapshotPolicy;
@@ -80,7 +80,7 @@ use scope_opt::{
     BudgetCounters, BudgetStats, BudgetedCompiler, CacheStats, CachingOptimizer, CompileBudget,
     HintSet, RuleConfig,
 };
-use scope_runtime::{CachingExecutor, ExecStats};
+use scope_runtime::Cluster;
 use scope_workload::{build_view_row, JobInstance, ViewBuildError, ViewRow, WorkloadConfig};
 use sis::{SisError, SisStore};
 use std::path::Path;
@@ -227,7 +227,7 @@ struct Arrival {
 /// The immutable per-tenant state a worker needs to build one view row.
 struct TenantCtx<'a> {
     optimizer: &'a CachingOptimizer,
-    executor: &'a CachingExecutor,
+    executor: &'a Cluster,
     hints: HintSet,
     default: RuleConfig,
     /// The tenant advisor's shed counters: workers record every
@@ -364,18 +364,11 @@ impl Fleet {
         }
     }
 
-    /// Fleet-wide lifetime execution-cache counters (see
-    /// [`Fleet::compile_stats`]).
+    /// Fleet-wide execution-cache counters: always all-zero, because every
+    /// plan executes straight on its cluster (see [`ExecStats`]).
     #[must_use]
     pub fn exec_stats(&self) -> ExecStats {
-        match &self.shared {
-            Some(caches) => caches.exec_stats(),
-            None => self
-                .tenants
-                .iter()
-                .map(|t| t.sim.advisor.exec_stats())
-                .sum(),
-        }
+        ExecStats::default()
     }
 
     /// Advance every tenant by one day through the streaming pipeline:

@@ -31,13 +31,12 @@
 //! `scope_opt::CachingOptimizer` (whose delta compiler prices the
 //! recommendation/flighting treatment slates incrementally against each
 //! plan's frozen base memo), and every *execution* — production runs,
-//! counterfactual default runs, flighting's baseline/treatment pairs —
-//! through `scope_runtime::Executor`s behind one shared
-//! `scope_runtime::ExecutionCache`; [`DailyReport::compile_cache`],
-//! [`DailyReport::exec_cache`], and [`DailyReport::delta_compile`]
-//! attribute the traffic, and [`DailyReport::timings`] carries per-stage
-//! wall clocks. Throughput knobs (worker threads, the two result caches,
-//! delta compilation, the workload's literal-redraw policy) are catalogued
+//! counterfactual default runs, flighting's baseline/treatment pairs — runs
+//! straight on a `scope_runtime::Cluster`; [`DailyReport::compile_cache`]
+//! and [`DailyReport::delta_compile`] attribute the compile traffic, and
+//! [`DailyReport::timings`] carries per-stage wall clocks. Throughput knobs
+//! (worker threads, the compile and feature caches, delta compilation, the
+//! workload's literal-redraw policy) are catalogued
 //! in the [`config`] module's knob table; see `ARCHITECTURE.md` at the
 //! repo root for the crate map and the determinism contract, and
 //! `PERFORMANCE.md` for the measured trajectory.
@@ -83,13 +82,13 @@ pub use fleet::{
     disjoint_workloads, overlapping_workloads, Fleet, FleetConfig, FleetDayOutcome, FleetMetrics,
     StreamConfig, Tenant,
 };
-pub use monitoring::{CacheCounters, ExecCounters, MonitorConfig, RegressionMonitor, StageTimings};
+pub use monitoring::{CacheCounters, ExecStats, MonitorConfig, RegressionMonitor, StageTimings};
 pub use pipeline::{DailyReport, PipelineError, QoAdvisor, Recommendation, SharedCaches};
 pub use scope_opt::{
     BudgetCounters, BudgetOutcome, BudgetStats, CacheConfig, CacheStats, CompileBudget,
     DeltaConfig, DeltaStats,
 };
-pub use scope_runtime::{CachingExecutor, ExecCacheConfig, ExecStats, ExecutionCache, Executor};
+pub use scope_runtime::Executor;
 pub use scope_state::{SnapshotError, SteeringSnapshot};
 pub use scope_workload::ViewBuildError;
 pub use simulation::{

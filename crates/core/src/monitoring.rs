@@ -29,7 +29,7 @@ use serde::{Deserialize, Serialize};
 /// results themselves are byte-identical to recompiles, but which lookup
 /// hits can depend on eviction order under parallel inserts, so
 /// reproducibility comparisons zero this field (see `tests/determinism.rs`).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct CacheCounters {
     /// Production compiles while building the daily view (filled by
     /// [`crate::ProductionSim::advance_day`]; zero for a bare
@@ -81,61 +81,37 @@ impl CacheCounters {
     }
 }
 
-/// One day's execution-result-cache telemetry, embedded in
-/// [`crate::DailyReport`] beside [`CacheCounters`] — the same per-stage
-/// attribution, on the execution side. Only three phases of a day execute
-/// plans: building the production view, the counterfactual default runs,
-/// and flighting's baseline/treatment pairs. Each carries a
-/// [`scope_runtime::ExecStats`] with two levels — `results` (whole simulated
-/// runs replayed from cache) and `graphs` (memoized stage-graph builds,
-/// consulted on result misses): in the closed loop run seeds are fresh every
-/// day, so `graphs` is where recurring plans pay off, while `results` hits
-/// on exact re-runs (A/A probes, repeated experiment evaluation).
-///
-/// Observability only, like the compile counters: reproducibility
-/// comparisons zero this field (see `tests/determinism.rs`).
+/// Execution-cache counters, kept so callers that record execution hit
+/// rates keep building. Every plan executes straight on its
+/// `scope_runtime::Cluster` with no cache in between, so both levels always
+/// read zero.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ExecCounters {
-    /// Production runs while building the daily view (filled by
-    /// [`crate::ProductionSim::advance_day`]).
-    pub view_build: scope_runtime::ExecStats,
-    /// Counterfactual default-plan runs of hinted production jobs.
-    pub counterfactual: scope_runtime::ExecStats,
-    /// Task 3 — Flighting: baseline/treatment pre-production runs.
-    pub flight: scope_runtime::ExecStats,
+pub struct ExecStats {
+    /// Whole-run replays (always zero).
+    pub results: scope_opt::CacheStats,
+    /// Stage-graph memo lookups (always zero).
+    pub graphs: scope_opt::CacheStats,
 }
 
-impl ExecCounters {
-    /// Counter-wise roll-up across every stage.
+impl ExecStats {
+    /// Counter deltas relative to an earlier snapshot.
     #[must_use]
-    pub fn total(&self) -> scope_runtime::ExecStats {
-        [self.view_build, self.counterfactual, self.flight]
-            .into_iter()
-            .sum()
+    pub fn since(&self, earlier: &ExecStats) -> ExecStats {
+        ExecStats {
+            results: self.results.since(&earlier.results),
+            graphs: self.graphs.since(&earlier.graphs),
+        }
     }
+}
 
-    /// Total executions that consulted the cache.
-    #[must_use]
-    pub fn lookups(&self) -> u64 {
-        self.total().lookups()
-    }
+impl std::ops::Add for ExecStats {
+    type Output = ExecStats;
 
-    /// Executions replayed entirely from cache.
-    #[must_use]
-    pub fn hits(&self) -> u64 {
-        self.total().hits()
-    }
-
-    /// Whole-run replay rate across stages in `[0, 1]`.
-    #[must_use]
-    pub fn hit_rate(&self) -> f64 {
-        self.total().hit_rate()
-    }
-
-    /// Fraction of executions that at least reused a memoized stage graph.
-    #[must_use]
-    pub fn partial_hit_rate(&self) -> f64 {
-        self.total().partial_hit_rate()
+    fn add(self, rhs: ExecStats) -> ExecStats {
+        ExecStats {
+            results: self.results + rhs.results,
+            graphs: self.graphs + rhs.graphs,
+        }
     }
 }
 
@@ -147,7 +123,7 @@ impl ExecCounters {
 /// Pure observability, like the cache counters: wall clocks obviously vary
 /// run to run, so reproducibility comparisons zero this field (see
 /// `tests/determinism.rs`).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct StageTimings {
     /// Production view building ([`crate::ProductionSim::advance_day`] only;
     /// zero for a bare [`crate::QoAdvisor::run_day`]).
@@ -452,5 +428,23 @@ mod tests {
         let r = m.observe_day(&[row(7, 99.0, true)]);
         assert!(r.is_empty());
         assert!(m.baseline(TemplateId(7)).is_none());
+    }
+
+    #[test]
+    fn exec_stats_roll_up() {
+        let stats = |hits| scope_opt::CacheStats {
+            hits,
+            misses: 1,
+            inserts: 1,
+            evictions: 0,
+        };
+        let a = ExecStats {
+            results: stats(2),
+            graphs: stats(1),
+        };
+        let sum = a + a;
+        assert_eq!(sum.results.hits, 4);
+        assert_eq!(sum.graphs.misses, 2);
+        assert_eq!(sum.since(&a), a);
     }
 }

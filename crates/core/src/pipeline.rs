@@ -5,7 +5,7 @@
 
 use crate::config::PipelineConfig;
 use crate::features::FeatureCache;
-use crate::monitoring::{CacheCounters, ExecCounters};
+use crate::monitoring::{CacheCounters, ExecStats};
 use crate::stages;
 use crate::validation_model::{ValidationModel, ValidationSample};
 use flighting::{FlightRequest, FlightingService};
@@ -18,7 +18,6 @@ use scope_opt::{
     BudgetCounters, BudgetStats, CacheStats, CachingOptimizer, CompileCache, CompileError,
     Compiled, DeltaCompiler, Optimizer, RuleConfig, RuleFlip, SpanResult,
 };
-use scope_runtime::{CachingExecutor, Cluster, ExecStats, ExecutionCache};
 use scope_workload::{ViewBuildError, ViewRow};
 use sis::{HintFile, SisError, SisStore};
 use std::fmt;
@@ -87,9 +86,8 @@ impl From<scope_state::SnapshotError> for PipelineError {
 /// Every key in every one of these caches is *tenant-invariant*: the compile
 /// cache and the delta base memo key on the exact serialized-plan fingerprint
 /// (literals and statistics included) plus the full rule-configuration bits;
-/// the execution cache keys on the physical-plan fingerprint plus the exact
-/// `(job_seed, run_seed, cluster epoch)`; the feature cache keys on the
-/// content-derived template id plus span/slate fingerprints. None of them
+/// the feature cache keys on the content-derived template id plus
+/// span/slate fingerprints. None of them
 /// embeds a tenant, workload, or store identity — so a hit returns exactly
 /// what a tenant-local compute would have produced, whichever tenant paid
 /// for the miss. That is what makes cross-tenant sharing a pure throughput
@@ -100,8 +98,6 @@ pub struct SharedCaches {
     pub compile: Option<Arc<CompileCache>>,
     /// Delta-compilation base-memo cache.
     pub delta: Option<Arc<DeltaCompiler>>,
-    /// Execution-result cache.
-    pub exec: Option<Arc<ExecutionCache>>,
     /// Span-feature cache.
     pub feature: Option<Arc<FeatureCache>>,
 }
@@ -121,7 +117,6 @@ impl SharedCaches {
                 .delta
                 .enabled
                 .then(|| Arc::new(DeltaCompiler::new(config.delta))),
-            exec: ExecutionCache::shared(config.exec_cache),
             feature: config
                 .feature_cache
                 .enabled
@@ -135,15 +130,6 @@ impl SharedCaches {
         self.compile
             .as_deref()
             .map(CompileCache::stats)
-            .unwrap_or_default()
-    }
-
-    /// Lifetime execution-cache counters (all-zero when disabled).
-    #[must_use]
-    pub fn exec_stats(&self) -> ExecStats {
-        self.exec
-            .as_deref()
-            .map(ExecutionCache::stats)
             .unwrap_or_default()
     }
 
@@ -162,7 +148,6 @@ impl fmt::Debug for SharedCaches {
         f.debug_struct("SharedCaches")
             .field("compile", &self.compile.is_some())
             .field("delta", &self.delta.is_some())
-            .field("exec", &self.exec.is_some())
             .field("feature", &self.feature.is_some())
             .finish()
     }
@@ -225,10 +210,6 @@ pub struct DailyReport {
     /// Compile-result-cache telemetry (all-zero when the cache is off).
     /// Observability only — reproducibility comparisons zero this field.
     pub compile_cache: CacheCounters,
-    /// Execution-result-cache telemetry, attributed the same way
-    /// (all-zero when the cache is off; zeroed in reproducibility
-    /// comparisons).
-    pub exec_cache: ExecCounters,
     /// Delta-compilation telemetry: how the day's treatment slates were
     /// resolved (pruned / delta / full) and the base-memo cache traffic.
     /// All-zero when `QO_DELTA=off`; observability only, zeroed in
@@ -264,7 +245,6 @@ impl DailyReport {
     pub fn without_telemetry(&self) -> Self {
         Self {
             compile_cache: CacheCounters::default(),
-            exec_cache: ExecCounters::default(),
             delta_compile: scope_opt::DeltaStats::default(),
             feature_cache: CacheStats::default(),
             timings: crate::monitoring::StageTimings::default(),
@@ -283,16 +263,6 @@ pub struct QoAdvisor {
     /// `(plan, configuration)` pair is compiled at most once across stages
     /// *and* days.
     pub(crate) optimizer: CachingOptimizer,
-    /// The sim-wide execution-result cache, mirroring the compile cache:
-    /// every executor built via [`QoAdvisor::executor_for`] (the production
-    /// cluster's, the pre-production one below) shares it, so a plan
-    /// executed anywhere in the loop leaves its stage graph — and, on exact
-    /// seed repeats, its whole result — behind for everyone. `None` when
-    /// `config.exec_cache` is disabled.
-    pub(crate) exec_cache: Option<Arc<ExecutionCache>>,
-    /// The pre-production executor flighting runs on (the flighting
-    /// service's cluster behind the shared execution cache).
-    pub(crate) preprod_exec: CachingExecutor,
     pub(crate) flighting: FlightingService,
     pub(crate) personalizer: Personalizer,
     /// The span-feature cache behind Recommendation's context construction:
@@ -359,16 +329,12 @@ impl QoAdvisor {
         caches: &SharedCaches,
     ) -> Self {
         let pool = stages::build_pool(config.parallelism);
-        let exec_cache = caches.exec.clone();
-        let preprod_exec = CachingExecutor::new(flighting.cluster().clone(), exec_cache.clone());
         Self {
             optimizer: CachingOptimizer::with_shared_caches(
                 optimizer,
                 caches.compile.clone(),
                 caches.delta.clone(),
             ),
-            exec_cache,
-            preprod_exec,
             flighting,
             personalizer: Personalizer::new(config.cb.clone()),
             feature_cache: caches.feature.clone(),
@@ -489,31 +455,11 @@ impl QoAdvisor {
         self.optimizer.delta_stats()
     }
 
-    /// Build an executor over `cluster` that shares the advisor's
-    /// execution-result cache (a pass-through when `exec_cache` is
-    /// disabled). [`crate::ProductionSim`] uses this for the production
-    /// cluster, so production runs, counterfactuals, and flighting all sit
-    /// behind ONE cache — the execution-side mirror of
-    /// [`QoAdvisor::caching_optimizer`].
-    #[must_use]
-    pub fn executor_for(&self, cluster: Cluster) -> CachingExecutor {
-        CachingExecutor::new(cluster, self.exec_cache.clone())
-    }
-
-    /// The pre-production executor flighting runs on (behind the shared
-    /// execution cache).
-    #[must_use]
-    pub fn preprod_executor(&self) -> &CachingExecutor {
-        &self.preprod_exec
-    }
-
-    /// Lifetime execution-cache counters (all-zero when the cache is off).
+    /// Execution-cache counters: always all-zero, because every plan
+    /// executes straight on its cluster (see [`ExecStats`]).
     #[must_use]
     pub fn exec_stats(&self) -> ExecStats {
-        self.exec_cache
-            .as_ref()
-            .map(|cache| cache.stats())
-            .unwrap_or_default()
+        ExecStats::default()
     }
 
     /// Lifetime span-feature-cache counters (all-zero when the cache is
@@ -603,12 +549,10 @@ impl QoAdvisor {
         // Recommendation is the only consumer of the span-feature cache.
         report.feature_cache = self.feature_stats().since(&f1);
         let s2 = self.optimizer.stats();
-        let e2 = self.exec_stats();
         let t2 = std::time::Instant::now(); // qo-lint: allow(ambient-entropy) — stage telemetry
         let flighted = stages::flight(self, recommended, &mut report);
         report.timings.flight_ns = elapsed(t2);
         let s3 = self.optimizer.stats();
-        let e3 = self.exec_stats();
         let t3 = std::time::Instant::now(); // qo-lint: allow(ambient-entropy) — stage telemetry
         let validated = stages::validate(self, &flighted, &mut report);
         report.timings.validate_ns = elapsed(t3);
@@ -618,9 +562,8 @@ impl QoAdvisor {
         report.compile_cache.feature_gen = s1.since(&s0);
         report.compile_cache.recommend = s2.since(&s1);
         report.compile_cache.flight = s3.since(&s2);
-        // Flighting is the only pipeline stage that executes plans, and the
-        // pipeline (recommendation + flighting) is the only slate compiler.
-        report.exec_cache.flight = e3.since(&e2);
+        // The pipeline (recommendation + flighting) is the only slate
+        // compiler.
         report.delta_compile = self.optimizer.delta_stats().since(&d0);
         Ok(report)
     }
@@ -653,9 +596,10 @@ impl QoAdvisor {
                 treatment: default_config.with_flip(RuleFlip { rule: pick, enable }),
             });
         }
-        let (outcomes, _) =
-            self.flighting
-                .flight_batch(&self.optimizer, &self.preprod_exec, &requests);
+        let preprod = self.flighting.cluster().clone();
+        let (outcomes, _) = self
+            .flighting
+            .flight_batch(&self.optimizer, &preprod, &requests);
         outcomes
             .iter()
             .filter_map(|o| o.measurement())

@@ -11,7 +11,7 @@ use flighting::FlightingService;
 use scope_ir::ids::production_run_seed;
 use scope_ir::{JobId, TemplateId};
 use scope_opt::Optimizer;
-use scope_runtime::{CachingExecutor, Cluster, ExecutionMetrics, Executor};
+use scope_runtime::{Cluster, ExecutionMetrics, Executor};
 use scope_workload::{build_view, ViewBuildError, ViewRow, Workload, WorkloadConfig};
 
 /// Default-vs-steered measurement of one hinted production job (both runs
@@ -86,17 +86,15 @@ pub fn aggregate_impact(comparisons: &[HintedComparison]) -> AggregateImpact {
 /// Every compile in the loop — production view building, the counterfactual
 /// default runs, and all five pipeline stages — goes through the advisor's
 /// [`scope_opt::CachingOptimizer`], so one compile-result cache spans the
-/// whole simulation *and* every simulated day. Every *execution* likewise
-/// goes through an [`Executor`] behind the advisor's shared
-/// [`scope_runtime::ExecutionCache`]: the production cluster's executor
-/// here, the pre-production one inside flighting. Under a sticky
-/// [`scope_workload::LiteralPolicy`] these are the loop's main throughput
-/// levers: a recurring script's production compile is a lookup on every day
-/// after its first, and its production run reuses the memoized stage graph.
+/// whole simulation *and* every simulated day. Under a sticky
+/// [`scope_workload::LiteralPolicy`] this is the loop's main throughput
+/// lever: a recurring script's production compile is a lookup on every day
+/// after its first. Production runs execute on the production [`Cluster`],
+/// flights on the pre-production one inside flighting.
 pub struct ProductionSim {
     pub workload: Workload,
-    /// The production cluster behind the sim-wide execution cache.
-    prod_exec: CachingExecutor,
+    /// The production cluster.
+    prod: Cluster,
     pub advisor: QoAdvisor,
     pub day: u32,
     /// §8 post-deployment monitor; hints that regress in production are
@@ -150,12 +148,10 @@ impl ProductionSim {
         let optimizer = Optimizer::default();
         let flighting =
             FlightingService::new(Cluster::preproduction(), pipeline.flight_budget.clone());
-        let advisor = QoAdvisor::with_shared_caches(optimizer, flighting, pipeline, sis, caches);
-        let prod_exec = advisor.executor_for(Cluster::default());
         Self {
             workload: Workload::new(workload),
-            prod_exec,
-            advisor,
+            prod: Cluster::default(),
+            advisor: QoAdvisor::with_shared_caches(optimizer, flighting, pipeline, sis, caches),
             day: 0,
             monitor: None,
             snapshot_policy: None,
@@ -169,18 +165,11 @@ impl ProductionSim {
         self.advisor.optimizer()
     }
 
-    /// The production cluster model.
+    /// The production cluster, the executor of every production run. Hand
+    /// this to [`build_view`] when driving the workload manually.
     #[must_use]
-    pub fn prod_cluster(&self) -> &Cluster {
-        self.prod_exec.cluster()
-    }
-
-    /// The production executor (the production cluster *behind the sim-wide
-    /// execution cache*). Hand this to [`build_view`] when driving the
-    /// workload manually so production runs share the loop's cache.
-    #[must_use]
-    pub fn prod_executor(&self) -> &CachingExecutor {
-        &self.prod_exec
+    pub fn prod_executor(&self) -> &Cluster {
+        &self.prod
     }
 
     /// Enable the §8 optimistic-monitoring loop: production telemetry of
@@ -206,12 +195,7 @@ impl ProductionSim {
         for _ in 0..days {
             let jobs = self.workload.jobs_for_day(self.day);
             let hints = self.advisor.sis().snapshot();
-            let view = build_view(
-                &jobs,
-                self.advisor.caching_optimizer(),
-                &hints,
-                &self.prod_exec,
-            )?;
+            let view = build_view(&jobs, self.advisor.caching_optimizer(), &hints, &self.prod)?;
             samples.extend(self.advisor.gather_validation_samples(
                 &view,
                 self.day,
@@ -229,10 +213,9 @@ impl ProductionSim {
     /// the view to the pipeline, and measure hinted jobs counterfactually.
     ///
     /// Production compiles go through the advisor's shared compile-result
-    /// cache and production runs through its shared execution cache; the
-    /// returned report's `compile_cache` / `exec_cache` attribute them to
-    /// the `view_build` and `counterfactual` stages on top of the
-    /// pipeline's own per-stage counters.
+    /// cache; the returned report's `compile_cache` attributes them to the
+    /// `view_build` and `counterfactual` stages on top of the pipeline's own
+    /// per-stage counters.
     ///
     /// Errors with [`PipelineError::View`] when a job's *default-path*
     /// compile fails while building the view — the one failure the loop has
@@ -244,24 +227,16 @@ impl ProductionSim {
         let jobs = self.workload.jobs_for_day(self.day);
         let hints = self.advisor.sis().snapshot();
         let s0 = self.advisor.cache_stats();
-        let e0 = self.advisor.exec_stats();
         let d0 = self.advisor.delta_stats();
         // qo-lint: allow(ambient-entropy) — view-build wall-clock telemetry only;
         // timings are zeroed before every byte-identity comparison
         let t0 = std::time::Instant::now();
-        let view = build_view(
-            &jobs,
-            self.advisor.caching_optimizer(),
-            &hints,
-            &self.prod_exec,
-        )?;
+        let view = build_view(&jobs, self.advisor.caching_optimizer(), &hints, &self.prod)?;
         let view_build_ns = t0.elapsed().as_nanos() as u64;
         let s1 = self.advisor.cache_stats();
-        let e1 = self.advisor.exec_stats();
 
         let mut outcome = self.finish_day(view)?;
         outcome.report.compile_cache.view_build = s1.since(&s0);
-        outcome.report.exec_cache.view_build = e1.since(&e0);
         outcome.report.timings.view_build_ns = view_build_ns;
         // Widen finish_day's delta snapshot to the whole simulated day:
         // default-configuration compile misses during view building route
@@ -294,14 +269,12 @@ impl ProductionSim {
     pub fn finish_day(&mut self, view: Vec<ViewRow>) -> Result<DayOutcome, PipelineError> {
         let day = self.day;
         let s1 = self.advisor.cache_stats();
-        let e1 = self.advisor.exec_stats();
         let d1 = self.advisor.delta_stats();
         let b1 = self.advisor.budget_stats();
 
         // Counterfactual default runs for hinted jobs (same run seed). The
-        // compiles go through the advisor's compile-result cache and the
-        // runs through its execution cache — same results as uncached,
-        // shared with the pipeline. Under a finite `compile_budget` these
+        // compiles go through the advisor's compile-result cache — same
+        // results as uncached, shared with the pipeline. Under a finite `compile_budget` these
         // are the loop's sheddable compiles: measurement-only work that may
         // return a best-effort plan from a partially explored memo without
         // touching what the pipeline recommends or publishes.
@@ -315,7 +288,7 @@ impl ProductionSim {
             };
             let run_seed = production_run_seed(day);
             let default_metrics =
-                self.prod_exec
+                self.prod
                     .execute(&default_compiled.physical, row.job_seed, run_seed);
             comparisons.push(HintedComparison {
                 template: row.template,
@@ -326,7 +299,6 @@ impl ProductionSim {
         }
         let counterfactual_ns = t1.elapsed().as_nanos() as u64;
         let s2 = self.advisor.cache_stats();
-        let e2 = self.advisor.exec_stats();
 
         // §8 monitoring: revert hints that regress in production.
         let mut reverted = Vec::new();
@@ -340,7 +312,6 @@ impl ProductionSim {
 
         let mut report = self.advisor.run_day(&view, day)?;
         report.compile_cache.counterfactual = s2.since(&s1);
-        report.exec_cache.counterfactual = e2.since(&e1);
         report.delta_compile = self.advisor.delta_stats().since(&d1);
         report.compile_budget = self.advisor.budget_stats().since(&b1);
         report.timings.counterfactual_ns = counterfactual_ns;
@@ -430,83 +401,6 @@ mod tests {
         // hits: sharing one cache across sim and pipeline pays within a
         // single day, before any cross-day reuse.
         assert!(cc.feature_gen.hits > 0, "span default compiles hit: {cc:?}");
-    }
-
-    #[test]
-    fn advance_day_attributes_executions_to_their_stage() {
-        let mut sim = small_sim();
-        let out = sim.advance_day().unwrap();
-        let ec = &out.report.exec_cache;
-        assert!(
-            ec.view_build.lookups() > 0,
-            "every production run must go through the shared execution \
-             cache: {ec:?}"
-        );
-        assert_eq!(
-            ec.view_build.lookups() as usize,
-            out.report.jobs_total,
-            "exactly one production execution per job"
-        );
-        assert_eq!(
-            ec.total(),
-            ec.view_build + ec.counterfactual + ec.flight,
-            "per-stage counters partition the day's executions"
-        );
-        // Flighting executes on the pre-production executor behind the SAME
-        // cache; its stage graphs come from the very plans the view just
-        // executed (identical hardware epoch), so the flight stage reuses
-        // them whenever anything flights.
-        if out.report.flight_success > 0 {
-            assert!(
-                ec.flight.lookups() > 0,
-                "successful flights must execute through the cache: {ec:?}"
-            );
-            assert!(
-                ec.flight.graphs.hits > 0,
-                "flight baselines reuse the view's memoized stage graphs: {ec:?}"
-            );
-        }
-        // Lifetime counters cover the whole day (plus nothing else here).
-        assert_eq!(sim.advisor.exec_stats(), ec.total());
-    }
-
-    #[test]
-    fn exec_cache_disabled_reports_zero_telemetry_and_identical_outputs() {
-        let mut on = small_sim();
-        let mut off = ProductionSim::new(
-            WorkloadConfig {
-                seed: 41,
-                num_templates: 12,
-                adhoc_per_day: 3,
-                max_instances_per_day: 1,
-                ..WorkloadConfig::default()
-            },
-            PipelineConfig {
-                exec_cache: scope_runtime::ExecCacheConfig::disabled(),
-                ..PipelineConfig::default()
-            },
-        );
-        let day_on = on.advance_day().unwrap();
-        let day_off = off.advance_day().unwrap();
-        assert_eq!(
-            day_off.report.exec_cache,
-            crate::monitoring::ExecCounters::default(),
-            "a disabled execution cache must report zero telemetry"
-        );
-        assert_eq!(off.advisor.exec_stats(), Default::default());
-        let mut normalized = day_on.report.clone();
-        normalized.exec_cache = day_off.report.exec_cache;
-        // Wall clocks legitimately differ between the two runs.
-        normalized.timings = day_off.report.timings;
-        assert_eq!(
-            normalized, day_off.report,
-            "the execution cache must never change what the loop decides"
-        );
-        assert_eq!(day_on.comparisons.len(), day_off.comparisons.len());
-        for (a, b) in day_on.comparisons.iter().zip(day_off.comparisons.iter()) {
-            assert_eq!(a.default, b.default, "counterfactual runs are identical");
-            assert_eq!(a.steered, b.steered);
-        }
     }
 
     #[test]

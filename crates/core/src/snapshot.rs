@@ -71,7 +71,7 @@ fn literals_id(policy: LiteralPolicy) -> LiteralsId {
 /// run, so a disagreement is a typed [`SnapshotError::Mismatch`].
 ///
 /// Throughput-only knobs are deliberately **excluded** — `parallelism`, the
-/// compile/exec/feature caches, delta compilation, and the bandit's
+/// compile/feature caches, delta compilation, and the bandit's
 /// `batch_rank` scoring path never change steering outputs
 /// (`tests/determinism.rs` proves it), so a snapshot legally restores
 /// across them (`tests/snapshot_recovery.rs` exercises exactly that cross).
@@ -178,9 +178,8 @@ impl QoAdvisor {
     /// when absent: a dropped warm section resets, rather than retains,
     /// whatever this advisor had cached, so stale entries keyed by another
     /// run's `TemplateId`s can never leak into a restored process. Either
-    /// way only cost changes, never outputs. The compile / execution /
-    /// feature caches are *not* part of snapshots at all — they rebuild
-    /// deterministically.
+    /// way only cost changes, never outputs. The compile and feature caches
+    /// are *not* part of snapshots at all — they rebuild deterministically.
     ///
     /// # Errors
     ///
@@ -546,7 +545,6 @@ mod tests {
         let threaded_uncached = PipelineConfig {
             parallelism: crate::config::ParallelismConfig::with_threads(8),
             cache: scope_opt::CacheConfig::disabled(),
-            exec_cache: scope_runtime::ExecCacheConfig::disabled(),
             delta: scope_opt::DeltaConfig::disabled(),
             feature_cache: crate::features::FeatureCacheConfig::disabled(),
             cb: personalizer::CbConfig {

@@ -499,9 +499,10 @@ pub(crate) fn flight(
             treatment: default_config.with_flip(r.flip),
         })
         .collect();
+    let preprod = qa.flighting.cluster().clone();
     let (outcomes, tracker) = qa
         .flighting
-        .flight_batch(&qa.optimizer, &qa.preprod_exec, &requests);
+        .flight_batch(&qa.optimizer, &preprod, &requests);
     report.flighted = requests.len();
     report.flight_seconds_used = tracker.used_seconds;
     for r in &reps {

@@ -24,9 +24,7 @@ pub struct FlightRequest {
 pub struct FlightingService {
     /// Descriptor of the pre-production cluster flights run on. Execution
     /// itself goes through the [`Executor`] handed to
-    /// [`FlightingService::flight_batch`], so a shared execution cache can
-    /// sit behind it; callers build that executor from this cluster (see
-    /// `qo_advisor::QoAdvisor`).
+    /// [`FlightingService::flight_batch`], which must run on this cluster.
     cluster: Cluster,
     budget: FlightBudget,
     /// Deterministic per-batch salt so different days see fresh noise.
@@ -87,11 +85,7 @@ impl FlightingService {
     /// Returns one outcome per request plus the final budget accounting.
     /// Generic over [`Compiler`] and [`Executor`]: passing a
     /// `CachingOptimizer` lets the validation recompiles reuse the
-    /// pipeline's compile-result cache, and passing a
-    /// `scope_runtime::CachingExecutor` lets the baseline/treatment runs
-    /// share its execution cache (the baseline plan is usually the very
-    /// default plan the production view already executed, so at least its
-    /// stage graph is a lookup).
+    /// pipeline's compile-result cache.
     pub fn flight_batch<C: Compiler, E: Executor>(
         &mut self,
         optimizer: &C,

@@ -1,13 +1,14 @@
 //! Shared cache-telemetry counters.
 //!
 //! One counter vocabulary for every result cache in the workspace: the
-//! compile-result cache (`scope_opt::CompileCache`) and the execution-result
-//! cache (`scope_runtime::ExecutionCache`) both report [`CacheStats`], so
-//! per-stage attribution, deltas, and roll-ups compose the same way on both
-//! sides of the pipeline.
+//! compile-result cache (`scope_opt::CompileCache`) and the span-feature
+//! cache both report [`CacheStats`], so per-stage attribution, deltas, and
+//! roll-ups compose the same way everywhere.
+
+use serde::Serialize;
 
 /// Monotonic cache counters (snapshot semantics; see [`CacheStats::since`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct CacheStats {
     pub hits: u64,
     pub misses: u64,

@@ -5,9 +5,8 @@
 //! [`mix64`], so runs are reproducible bit-for-bit. The *named* seed helpers
 //! below ([`production_run_seed`], [`aa_run_seed`], the flighting seeds, and
 //! the executor's internal stream seeds) centralize the per-purpose salts
-//! that used to be magic constants scattered over the call sites — the
-//! execution-result cache keys on the very same `(job_seed, run_seed)`
-//! values these helpers produce, so cache and call sites must share one
+//! that used to be magic constants scattered over the call sites, so every
+//! call site derives the same `(job_seed, run_seed)` values from one
 //! vocabulary.
 
 use serde::{Deserialize, Serialize};
@@ -84,8 +83,7 @@ pub fn mix64(a: u64, b: u64) -> u64 {
 /// Deterministically fold a serialized [`serde::Value`] tree into a 64-bit
 /// hash (leaf kind tags keep e.g. `0u64` and `false` distinct). This is the
 /// basis of every exact "fingerprint" in the workspace: logical plans (the
-/// compile-cache key), physical plans and cluster configurations (the
-/// execution-cache key).
+/// compile-cache key) and cluster configurations (the cluster epochs).
 #[must_use]
 pub fn hash_value(value: &serde::Value, h: u64) -> u64 {
     match value {
@@ -141,9 +139,7 @@ pub const SLATE_ACTION_SENTINEL: u64 = 0xAC710;
 
 /// Salt of [`crate::LogicalPlan::fingerprint`] (the compile-cache key).
 pub const LOGICAL_FP_SALT: u64 = 0x05ca_1ab1_e0dd_ba11;
-/// Salt of [`crate::PhysicalPlan::fingerprint`] (the execution-cache key).
-pub const PHYSICAL_FP_SALT: u64 = 0x0e8e_c0de_5ca1_ab1e;
-/// Salt of the cluster *hardware* config epoch (stage-graph memo sharing).
+/// Salt of the cluster *hardware* config epoch.
 pub const CLUSTER_CONFIG_EPOCH_SALT: u64 = 0xc105_7e40_0000_0001;
 /// Salt of the cluster *variance-model* half of the execution epoch.
 pub const CLUSTER_VARIANCE_EPOCH_SALT: u64 = 0x0e8e_0000_0000_0002;
@@ -314,7 +310,6 @@ mod tests {
         assert_eq!(SLATE_FP_SEED, 0x51A7E);
         assert_eq!(SLATE_ACTION_SENTINEL, 0xAC710);
         assert_eq!(LOGICAL_FP_SALT, 0x05ca_1ab1_e0dd_ba11);
-        assert_eq!(PHYSICAL_FP_SALT, 0x0e8e_c0de_5ca1_ab1e);
         assert_eq!(CLUSTER_CONFIG_EPOCH_SALT, 0xc105_7e40_0000_0001);
         assert_eq!(CLUSTER_VARIANCE_EPOCH_SALT, 0x0e8e_0000_0000_0002);
         assert_eq!(RULE_INSTABILITY_SALT, 0xDEAD_0000);

@@ -8,12 +8,11 @@
 //! optimizer rules use to express alternative physical configurations.
 
 use crate::expr::{AggExpr, ScalarExpr};
-use crate::ids::{hash_value, NodeId, PHYSICAL_FP_SALT};
+use crate::ids::NodeId;
 use crate::logical::{JoinKind, SortKey};
 use crate::stats::NodeStats;
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// How rows are distributed across the vertices of a stage.
@@ -217,63 +216,10 @@ pub struct PhysicalNode {
 
 /// Arena-based physical plan with the same topological-arena invariant as
 /// [`crate::LogicalPlan`].
-///
-/// `Clone`, `PartialEq`, `Debug`, and the serde impls are hand-written so
-/// the [`PhysicalPlan::fingerprint`] memo stays invisible: two plans compare
-/// equal, print, and serialize identically whether or not their fingerprint
-/// has been computed, and a clone carries the memo along (mirroring
-/// [`crate::LogicalPlan`]'s compile-cache fingerprint).
-#[derive(Default)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct PhysicalPlan {
     nodes: Vec<PhysicalNode>,
     outputs: Vec<NodeId>,
-    /// Memoized [`PhysicalPlan::fingerprint`]; 0 = not computed yet. Reset
-    /// by the mutating methods, copied by `Clone`.
-    fp_memo: AtomicU64,
-}
-
-impl Clone for PhysicalPlan {
-    fn clone(&self) -> Self {
-        Self {
-            nodes: self.nodes.clone(),
-            outputs: self.outputs.clone(),
-            fp_memo: AtomicU64::new(self.fp_memo.load(Ordering::Relaxed)),
-        }
-    }
-}
-
-impl PartialEq for PhysicalPlan {
-    fn eq(&self, other: &Self) -> bool {
-        self.nodes == other.nodes && self.outputs == other.outputs
-    }
-}
-
-impl fmt::Debug for PhysicalPlan {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("PhysicalPlan")
-            .field("nodes", &self.nodes)
-            .field("outputs", &self.outputs)
-            .finish()
-    }
-}
-
-impl Serialize for PhysicalPlan {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Object(vec![
-            ("nodes".to_string(), self.nodes.to_value()),
-            ("outputs".to_string(), self.outputs.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for PhysicalPlan {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        Ok(Self {
-            nodes: Deserialize::from_value(value.get_field("nodes")?)?,
-            outputs: Deserialize::from_value(value.get_field("outputs")?)?,
-            fp_memo: AtomicU64::new(0),
-        })
-    }
 }
 
 impl PhysicalPlan {
@@ -289,39 +235,11 @@ impl PhysicalPlan {
             assert!(c.index() < self.nodes.len(), "child {c} does not exist yet");
         }
         self.nodes.push(node);
-        self.fp_memo.store(0, Ordering::Relaxed);
         id
     }
 
     pub fn mark_output(&mut self, node: NodeId) {
         self.outputs.push(node);
-        self.fp_memo.store(0, Ordering::Relaxed);
-    }
-
-    /// Exact fingerprint of this plan: a stable hash over its serialized
-    /// form — operators, expressions, literals, statistics, and tuning
-    /// knobs. Two plans with equal fingerprints execute identically under
-    /// any `(cluster, job_seed, run_seed)`, which is what makes this the
-    /// execution-result cache key (the runtime simulator is a pure function
-    /// of the plan bytes, the cluster model, and the seeds).
-    ///
-    /// Memoized: the first call walks the plan, later calls (including on
-    /// clones of an already-fingerprinted plan) are one atomic load.
-    #[must_use]
-    pub fn fingerprint(&self) -> u64 {
-        let memo = self.fp_memo.load(Ordering::Relaxed);
-        if memo != 0 {
-            debug_assert_eq!(
-                memo,
-                hash_value(&self.to_value(), PHYSICAL_FP_SALT).max(1),
-                "memoized physical fingerprint diverged from a fresh recompute \
-                 (plan mutated after fingerprinting?)"
-            );
-            return memo;
-        }
-        let fp = hash_value(&self.to_value(), PHYSICAL_FP_SALT).max(1);
-        self.fp_memo.store(fp, Ordering::Relaxed);
-        fp
     }
 
     #[must_use]
@@ -581,54 +499,6 @@ mod tests {
         let json = serde_json::to_string(&p).unwrap();
         let back: PhysicalPlan = serde_json::from_str(&json).unwrap();
         assert_eq!(p, back);
-    }
-
-    #[test]
-    fn fingerprint_memo_is_invisible_and_reset_on_mutation() {
-        let p = sample();
-        let pristine = sample();
-        let fp = p.fingerprint();
-        assert_eq!(fp, pristine.fingerprint(), "structurally equal plans agree");
-        // The memo must not leak into equality, Debug, or serialization.
-        assert_eq!(p, pristine);
-        assert_eq!(format!("{p:?}"), format!("{pristine:?}"));
-        assert_eq!(p.to_value(), pristine.to_value());
-        // Clones carry the memo and agree.
-        assert_eq!(p.clone().fingerprint(), fp);
-        // A deserialized copy recomputes to the same value.
-        let back = PhysicalPlan::from_value(&p.to_value()).unwrap();
-        assert_eq!(back.fingerprint(), fp);
-        // Mutation invalidates the memo.
-        let mut q = p.clone();
-        let extra = scan(&mut q, "zz", 7.0);
-        q.mark_output(extra);
-        assert_ne!(q.fingerprint(), fp);
-    }
-
-    #[test]
-    fn fingerprint_sees_stats_and_tuning() {
-        // Identical operator trees with different actual statistics or
-        // tuning knobs execute differently, so they must not share a
-        // fingerprint.
-        let mut a = PhysicalPlan::new();
-        let s = scan(&mut a, "t", 100.0);
-        let o = a.add(PhysicalNode {
-            op: PhysicalOp::OutputExec { path: "o".into() },
-            children: vec![s],
-            stats: NodeStats::table(100.0, 100.0, 10.0),
-            tuning: PhysicalTuning::IDENTITY,
-        });
-        a.mark_output(o);
-        let mut b = PhysicalPlan::new();
-        let s = scan(&mut b, "t", 200.0);
-        let o = b.add(PhysicalNode {
-            op: PhysicalOp::OutputExec { path: "o".into() },
-            children: vec![s],
-            stats: NodeStats::table(100.0, 100.0, 10.0),
-            tuning: PhysicalTuning::IDENTITY,
-        });
-        b.mark_output(o);
-        assert_ne!(a.fingerprint(), b.fingerprint());
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Generic lock-sharded FIFO cache.
 //!
-//! Four caches in this workspace share one shape: N `parking_lot::RwLock`
+//! The result caches in this workspace share one shape: N `parking_lot::RwLock`
 //! shards selected by a stable hash of the key, a per-shard slice of the
 //! total capacity, first-writer-wins inserts (the cached computations are
 //! deterministic, so concurrent writers hold identical values), FIFO
@@ -8,9 +8,8 @@
 //! key distributions stay visible (one hot shard churning at capacity used
 //! to look identical to uniform pressure when the counter was cache-wide).
 //! [`ShardedCache`] is that shape extracted once; the compile-result cache
-//! (`scope_opt::CompileCache`), both maps of the execution-result cache
-//! (`scope_runtime::ExecutionCache`), the delta compiler's base-memo cache,
-//! and the span-feature cache all build on it.
+//! (`scope_opt::CompileCache`), the delta compiler's base-memo cache, the
+//! span-feature cache and the workload's sticky plan memo all build on it.
 //!
 //! Hit/miss accounting stays with the callers: each wrapper counts lookups
 //! in its own atomics (some count a `get` miss, some count a whole

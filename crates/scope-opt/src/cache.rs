@@ -72,9 +72,8 @@ impl CacheConfig {
     }
 }
 
-/// The shared counter vocabulary (also used by the execution-result cache in
-/// `scope-runtime`); re-exported here so compile-cache callers keep writing
-/// `scope_opt::CacheStats`.
+/// The shared counter vocabulary; re-exported here so compile-cache callers
+/// keep writing `scope_opt::CacheStats`.
 pub use scope_ir::counters::CacheStats;
 
 /// Cache key: exact plan identity (hash of the serialized plan — literals,
@@ -167,15 +166,6 @@ impl CompileCache {
         config: &RuleConfig,
         result: &Result<Compiled, CompileError>,
     ) {
-        // Pre-warm the physical plan's fingerprint memo once per unique
-        // compile — through the reference, so the *caller's* value (and
-        // every clone taken from it afterwards, including the one stored
-        // below) carries the memo and downstream execution-cache lookups
-        // (`scope_runtime::CachingExecutor`) cost an atomic load instead of
-        // a serialize-and-hash per execution.
-        if let Ok(compiled) = result {
-            let _ = compiled.physical.fingerprint();
-        }
         let key = (Self::plan_fingerprint(plan), *config.bits());
         if self.entries.insert(key, result.clone()) {
             self.inserts.fetch_add(1, Ordering::Relaxed);

@@ -120,7 +120,7 @@ impl DeltaConfig {
 /// Monotonic delta-compiler counters (snapshot semantics, like
 /// [`crate::CacheStats`]): how each priced treatment was resolved, plus
 /// base-memo cache traffic.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct DeltaStats {
     /// Treatments resolved by the pruner: provably plan-identical flips that
     /// reused the base `Compiled` after replaying the instability draws.
@@ -243,9 +243,6 @@ impl BaseMemo {
         base: &RuleConfig,
     ) -> Result<BaseMemo, CompileError> {
         let full = optimizer.compile_full(plan, base)?;
-        // Pre-warm the physical fingerprint once so every pruned clone
-        // carries the memo (same reasoning as the compile cache's pre-warm).
-        let _ = full.compiled.physical.fingerprint();
         let n = full.memo.group_count();
         let mut parents: Vec<Vec<u32>> = vec![Vec::new(); n];
         for gi in 0..n as u32 {

@@ -127,18 +127,17 @@ impl Cluster {
 
     /// Stable fingerprint of the *hardware* constants only. Stage graphs
     /// depend on the plan and [`ClusterConfig`] but not on the variance
-    /// model, so this is the epoch under which memoized stage graphs can be
-    /// shared — e.g. between the production and pre-production clusters,
-    /// which differ only in noise.
+    /// model, so clusters that differ only in noise (production vs
+    /// pre-production) share this epoch.
     #[must_use]
     pub fn config_epoch(&self) -> u64 {
         hash_value(&self.config.to_value(), CLUSTER_CONFIG_EPOCH_SALT).max(1)
     }
 
     /// Stable fingerprint of the full execution environment (hardware *and*
-    /// variance model). Execution metrics depend on both, so this is the
-    /// epoch in the execution-result cache key: reconfiguring a cluster
-    /// yields a fresh epoch and implicitly invalidates its cached results.
+    /// variance model). Execution metrics depend on both, so two clusters
+    /// with equal epochs execute every plan identically; flighting checks
+    /// its executor against its environment descriptor with it.
     #[must_use]
     pub fn epoch(&self) -> u64 {
         mix64(
@@ -186,10 +185,10 @@ mod tests {
         let prod = Cluster::default();
         let preprod = Cluster::preproduction();
         let quiet = Cluster::deterministic();
-        // Same hardware model => stage graphs are shareable.
+        // Same hardware model => same stage graphs.
         assert_eq!(prod.config_epoch(), preprod.config_epoch());
         assert_eq!(prod.config_epoch(), quiet.config_epoch());
-        // Different noise => execution results are not.
+        // Different noise => different execution results.
         assert_ne!(prod.epoch(), preprod.epoch());
         assert_ne!(prod.epoch(), quiet.epoch());
         // Epochs are stable across reconstructions.

@@ -2,10 +2,8 @@
 //! variance, and report runtime metrics.
 //!
 //! Execution is a *pure function* of the plan bytes, the cluster model, and
-//! the two seeds — the property the [`Executor`] trait and the
-//! execution-result cache ([`crate::CachingExecutor`]) are built on. Callers
-//! that execute plans should be generic over [`Executor`] so a shared
-//! [`crate::ExecutionCache`] can sit behind any of them.
+//! the two seeds. Callers that execute plans are generic over [`Executor`],
+//! which [`Cluster`] implements.
 
 use crate::cluster::Cluster;
 use crate::metrics::ExecutionMetrics;
@@ -22,9 +20,8 @@ use scope_ir::physical::PhysicalPlan;
 ///
 /// The contract every implementation must honor: **execution is
 /// deterministic given `(plan, job_seed, run_seed)`** — same inputs, same
-/// metrics, bit for bit. [`Cluster`] and [`ClusterExecutor`] execute
-/// directly; [`crate::CachingExecutor`] memoizes stage graphs and execution
-/// results behind the same interface, which the contract makes invisible.
+/// metrics, bit for bit. Wrappers (timing, tracing) may sit in front of a
+/// [`Cluster`] as long as they forward execution unchanged.
 pub trait Executor {
     /// The cluster (hardware + variance model) this executor runs on.
     /// Callers that pair an executor with an environment descriptor (e.g.
@@ -35,9 +32,7 @@ pub trait Executor {
     fn execute(&self, plan: &PhysicalPlan, job_seed: u64, run_seed: u64) -> ExecutionMetrics;
 }
 
-/// A bare [`Cluster`] is the plainest executor: build the stage graph, run
-/// it, no caching. This keeps ad-hoc call sites (tests, examples, one-shot
-/// probes) free of wrapper noise.
+/// A [`Cluster`] executes directly: build the stage graph, run it.
 impl Executor for Cluster {
     fn cluster(&self) -> &Cluster {
         self
@@ -45,37 +40,6 @@ impl Executor for Cluster {
 
     fn execute(&self, plan: &PhysicalPlan, job_seed: u64, run_seed: u64) -> ExecutionMetrics {
         execute(plan, self, job_seed, run_seed)
-    }
-}
-
-/// The plain owning executor: a [`Cluster`] behind the [`Executor`] trait,
-/// with no caching — the uncached counterpart of
-/// [`crate::CachingExecutor`], the way `scope_opt`'s bare `Optimizer` is the
-/// uncached counterpart of its `CachingOptimizer`.
-#[derive(Debug, Clone, Default)]
-pub struct ClusterExecutor {
-    cluster: Cluster,
-}
-
-impl ClusterExecutor {
-    #[must_use]
-    pub fn new(cluster: Cluster) -> Self {
-        Self { cluster }
-    }
-
-    #[must_use]
-    pub fn cluster(&self) -> &Cluster {
-        &self.cluster
-    }
-}
-
-impl Executor for ClusterExecutor {
-    fn cluster(&self) -> &Cluster {
-        &self.cluster
-    }
-
-    fn execute(&self, plan: &PhysicalPlan, job_seed: u64, run_seed: u64) -> ExecutionMetrics {
-        execute(plan, &self.cluster, job_seed, run_seed)
     }
 }
 
@@ -93,9 +57,8 @@ pub fn execute(
     execute_stages(&graph, cluster, job_seed, run_seed)
 }
 
-/// Execute a pre-built stage graph (exposed for benchmarks).
-#[must_use]
-pub fn execute_stages(
+/// Execute a pre-built stage graph.
+fn execute_stages(
     graph: &StageGraph,
     cluster: &Cluster,
     job_seed: u64,

@@ -18,21 +18,17 @@
 //!   variability of I/O time across A/A runs is bounded as data read and
 //!   data written remain constant", §4.3), so it is far stabler.
 //!
-//! Execution is deterministic given `(plan, cluster, job_seed, run_seed)`,
-//! which the [`Executor`] trait turns into an architecture: call sites are
-//! generic over it, a bare [`Cluster`] (or [`ClusterExecutor`]) executes
-//! directly, and [`CachingExecutor`] memoizes stage graphs and whole
-//! execution results in a shared [`ExecutionCache`] — bit-identically, the
-//! execution-side mirror of `scope_opt`'s compile-result cache.
+//! Execution is deterministic given `(plan, cluster, job_seed, run_seed)`.
+//! Call sites are generic over the [`Executor`] trait, and a bare
+//! [`Cluster`] is the executor: every run builds its stage graph and
+//! simulates it directly.
 
-pub mod cache;
 pub mod cluster;
 pub mod executor;
 pub mod metrics;
 pub mod stage;
 
-pub use cache::{CachingExecutor, ExecCacheConfig, ExecStats, ExecutionCache};
 pub use cluster::{Cluster, ClusterConfig, VarianceModel};
-pub use executor::{execute, ClusterExecutor, Executor};
+pub use executor::{execute, Executor};
 pub use metrics::{rel_delta, ExecutionMetrics};
 pub use stage::{StageGraph, StageWork};

@@ -6,11 +6,11 @@
 //! converts): the format must stay stable even when the services refactor.
 //!
 //! What is **authoritative** vs **warm** follows the determinism contract:
-//! the compile cache, execution cache, span-feature cache, and delta base
-//! memos are pure functions of the plans the loop replays, so they are
-//! *not* serialized (their section ids are reserved in [`crate::frame::
-//! section`]); the span cache is serialized as a droppable warm section
-//! because rebuilding it is the dominant Feature Generation cost. The
+//! the compile cache, span-feature cache, and delta base memos are pure
+//! functions of the plans the loop replays, so they are *not* serialized
+//! (their section ids are reserved in [`crate::frame::section`]); the span
+//! cache is serialized as a droppable warm section because rebuilding it is
+//! the dominant Feature Generation cost. The
 //! workload itself is a pure function of `(WorkloadConfig, day)` — only its
 //! identity travels, and a restore into a differently-configured process is
 //! a typed [`SnapshotError::Mismatch`].
@@ -586,7 +586,7 @@ impl SteeringSnapshot {
     /// crash mid-write leaves any previous snapshot at `path` intact, so
     /// there is always a complete snapshot to restore from.
     pub fn write_to(&self, path: impl AsRef<Path>) -> Result<(), SnapshotError> {
-        atomic_write(path.as_ref(), &self.to_bytes())
+        Ok(atomic_write(path.as_ref(), &self.to_bytes())?)
     }
 
     pub fn read_from(path: impl AsRef<Path>) -> Result<Self, SnapshotError> {

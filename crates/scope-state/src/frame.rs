@@ -50,7 +50,8 @@ pub mod section {
     /// Reserved for the compile-result cache (warm; never written — the
     /// cache is a pure function of the plans it sees).
     pub const COMPILE_CACHE: u16 = 0x8002;
-    /// Reserved for the execution-result cache (warm; never written).
+    /// Reserved for the execution-result cache, since removed (warm; never
+    /// written; the id stays reserved).
     pub const EXEC_CACHE: u16 = 0x8003;
     /// Reserved for the span-feature cache (warm; never written).
     pub const FEATURE_CACHE: u16 = 0x8004;
@@ -123,16 +124,17 @@ impl FrameWriter {
     /// rename): a crash mid-write leaves any previous snapshot at `path`
     /// intact.
     pub fn write_to(&self, path: impl AsRef<Path>) -> Result<(), SnapshotError> {
-        atomic_write(path.as_ref(), &self.to_bytes())
+        Ok(atomic_write(path.as_ref(), &self.to_bytes())?)
     }
 }
 
 /// Atomically replace `path` with `bytes`: the bytes land in a sibling
 /// `<name>.tmp` file which is flushed to disk and then renamed over the
 /// target. A crash anywhere in the window leaves either the previous
-/// complete snapshot or the new one — never the truncated hybrid that
-/// writing straight onto the live path would risk.
-pub(crate) fn atomic_write(path: &Path, bytes: &[u8]) -> Result<(), SnapshotError> {
+/// complete file or the new one — never the truncated hybrid that writing
+/// straight onto the live path would risk. Snapshots and published SIS hint
+/// files both go through here.
+pub fn atomic_write(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     let tmp = {
         let mut name = path
             .file_name()

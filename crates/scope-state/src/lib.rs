@@ -50,4 +50,4 @@ pub use components::{
     SisState, SpanCacheEntry, SpanCacheState, SteeringSnapshot, ValidationState, WorkloadIdentity,
 };
 pub use error::SnapshotError;
-pub use frame::{FrameReader, FrameWriter, FLAG_WARM, FORMAT_VERSION, MAGIC};
+pub use frame::{atomic_write, FrameReader, FrameWriter, FLAG_WARM, FORMAT_VERSION, MAGIC};

@@ -17,8 +17,7 @@
 //! [`build_view`] compiles and "executes" one day's jobs into [`ViewRow`]s.
 //! It is generic over [`scope_opt::Compiler`] *and*
 //! [`scope_runtime::Executor`], so the production compiles can share a
-//! [`scope_opt::CachingOptimizer`] with the steering pipeline and the
-//! production runs a [`scope_runtime::ExecutionCache`]; a job whose
+//! [`scope_opt::CachingOptimizer`] with the steering pipeline; a job whose
 //! default-path compilation fails surfaces as a typed [`ViewBuildError`]
 //! instead of a panic.
 //!

@@ -164,12 +164,12 @@ impl std::error::Error for ViewBuildError {}
 /// workloads never trigger this — it guards externally supplied plans).
 ///
 /// Generic over [`Compiler`] *and* [`Executor`]: pass a bare
-/// [`scope_opt::Optimizer`] and [`scope_runtime::Cluster`] for direct
-/// compilation/execution, or a [`scope_opt::CachingOptimizer`] and
-/// [`scope_runtime::CachingExecutor`] so the production compiles and runs
-/// share the steering pipeline's result caches — under a sticky
-/// [`crate::LiteralPolicy`] these are the caches' biggest win, because
-/// recurring instances rebind the identical plan day after day.
+/// [`scope_opt::Optimizer`] for direct compilation, or a
+/// [`scope_opt::CachingOptimizer`] so the production compiles share the
+/// steering pipeline's compile-result cache — under a sticky
+/// [`crate::LiteralPolicy`] that is the cache's biggest win, because
+/// recurring instances rebind the identical plan day after day. Plans run
+/// on a [`scope_runtime::Cluster`].
 pub fn build_view<C: Compiler, E: Executor>(
     jobs: &[JobInstance],
     optimizer: &C,
@@ -423,40 +423,6 @@ mod tests {
         assert!(
             stats.hits > 0,
             "sticky recurring plans must hit across days: {stats:?}"
-        );
-    }
-
-    #[test]
-    fn build_view_is_identical_through_a_caching_executor() {
-        use scope_runtime::{CachingExecutor, ExecCacheConfig};
-
-        let w = Workload::new(WorkloadConfig {
-            seed: 11,
-            num_templates: 6,
-            adhoc_per_day: 1,
-            max_instances_per_day: 1,
-            literals: crate::LiteralPolicy::Sticky {
-                redraw_every_days: 0,
-            },
-        });
-        let optimizer = Optimizer::default();
-        let cluster = Cluster::default();
-        let cached = CachingExecutor::with_config(cluster.clone(), ExecCacheConfig::default());
-        for day in 0..2u32 {
-            let jobs = w.jobs_for_day(day);
-            let direct = build_view(&jobs, &optimizer, &HintSet::new(), &cluster).unwrap();
-            let via_cache = build_view(&jobs, &optimizer, &HintSet::new(), &cached).unwrap();
-            for (a, b) in direct.iter().zip(via_cache.iter()) {
-                assert_eq!(a.metrics, b.metrics, "the execution cache is invisible");
-                assert_eq!(a.features, b.features);
-            }
-        }
-        // Sticky literals: day 1 re-executes day-0 plans (fresh run seeds),
-        // so the stage-graph memo is hot even though full results are not.
-        let stats = cached.stats();
-        assert!(
-            stats.graphs.hits > 0,
-            "sticky recurring plans must reuse memoized stage graphs: {stats:?}"
         );
     }
 }

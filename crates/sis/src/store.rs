@@ -110,7 +110,8 @@ impl SisStore {
         Ok(())
     }
 
-    /// Publish a hint file: validate, bump version, persist, install.
+    /// Publish a hint file: validate, bump version, persist (atomically:
+    /// temp file, fsync, rename), install.
     ///
     /// Version 0 is the reserved "nothing installed" sentinel
     /// ([`SisStore::version`] returns 0 for an empty store), so publishing
@@ -130,7 +131,10 @@ impl SisStore {
             let path = dir.join(format!("hints-v{:06}.json", file.version));
             let json =
                 serde_json::to_string_pretty(&file).map_err(|e| SisError::Io(e.to_string()))?;
-            std::fs::write(path, json).map_err(|e| SisError::Io(e.to_string()))?;
+            // Crash-atomic: a crash mid-publish leaves at most a stale
+            // `*.tmp` sibling, which `reload_latest` ignores.
+            scope_state::atomic_write(&path, json.as_bytes())
+                .map_err(|e| SisError::Io(e.to_string()))?;
         }
         state.version = file.version;
         state.hints = HintSet::from_hints(file.hints);
@@ -508,6 +512,46 @@ mod tests {
         assert!(!fresh
             .config_for(TemplateId(6), &default)
             .enabled(RuleId(27)));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn publish_is_atomic_and_reload_ignores_a_torn_publish() {
+        let dir = std::env::temp_dir().join(format!("sis-atomic-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = SisStore::at_dir(&dir).unwrap();
+        store
+            .publish(HintFile {
+                version: 1,
+                source_day: 0,
+                hints: vec![hint(3, 23, true)],
+            })
+            .unwrap();
+        let names = |dir: &Path| -> Vec<String> {
+            let mut names: Vec<String> = std::fs::read_dir(dir)
+                .unwrap()
+                .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+                .collect();
+            names.sort();
+            names
+        };
+        assert_eq!(
+            names(&dir),
+            ["hints-v000001.json"],
+            "publish leaves no temp file behind"
+        );
+        // A crash between writing the temp file and renaming it leaves a
+        // torn `*.tmp` sibling of the next version behind.
+        std::fs::write(dir.join("hints-v000002.json.tmp"), b"{\"version\":2,").unwrap();
+        let fresh = SisStore::at_dir(&dir).unwrap();
+        assert_eq!(fresh.reload_latest().unwrap(), Some(1), "v1 installs");
+        assert_eq!(fresh.version(), 1);
+        assert!(fresh
+            .config_for(
+                TemplateId(3),
+                &scope_opt::Optimizer::default().default_config()
+            )
+            .enabled(RuleId(23)));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -5,16 +5,16 @@
 //! cargo run --release --example quickstart
 //! ```
 //!
-//! The `QO_CACHE`, `QO_EXEC_CACHE`, `QO_DELTA`, `QO_FEATURE_CACHE` and
-//! `QO_COMPILE_BUDGET` knobs (table in `qo_advisor::config`) switch the
-//! machinery the steps below use.
+//! The `QO_CACHE`, `QO_DELTA`, `QO_FEATURE_CACHE` and `QO_COMPILE_BUDGET`
+//! knobs (table in `qo_advisor::config`) switch the machinery the steps
+//! below use.
 
 use qo_advisor::{span_block, FeatureCache, RunKnobs};
 use scope_ir::display::{explain_logical, explain_physical};
 use scope_ir::stats::DualStats;
 use scope_lang::{bind_script, Catalog, TableInfo};
 use scope_opt::{compute_span, CachingOptimizer, Hint, HintSet, Optimizer, RuleConfig, RuleFlip};
-use scope_runtime::{CachingExecutor, Cluster, Executor};
+use scope_runtime::{Cluster, Executor};
 
 const SCRIPT: &str = r#"
     // Daily revenue rollup: filter the fact table, join the dimension,
@@ -166,9 +166,8 @@ fn main() {
     );
 
     // 5. Execute default vs steered on the simulated cluster, through the
-    // Executor trait. `QO_EXEC_CACHE=off` disables the execution-result
-    // cache (on by default) — results are bit-identical either way.
-    let executor = CachingExecutor::with_config(Cluster::default(), knobs.exec_cache);
+    // Executor trait.
+    let executor = Cluster::default();
     let base = executor.execute(&compiled.physical, 42, 1);
     println!(
         "\ndefault run:  latency {:>7.1}s  PNhours {:>7.3}  vertices {:>4}  read {:.2e} B",

@@ -25,8 +25,8 @@ mod common;
 
 use common::hint_files;
 use qo_advisor::{
-    BudgetStats, CacheConfig, DailyReport, DeltaConfig, ExecCacheConfig, ParallelismConfig,
-    PipelineConfig, ProductionSim,
+    BudgetStats, CacheConfig, DailyReport, DeltaConfig, ParallelismConfig, PipelineConfig,
+    ProductionSim,
 };
 use scope_opt::{compute_span, BudgetOutcome, CompileBudget, Optimizer, RuleConfig, RuleFlip};
 use scope_workload::{Workload, WorkloadConfig};
@@ -210,7 +210,6 @@ fn run_sim(
             parallelism: ParallelismConfig { threads },
             compile_budget: budget,
             cache: CacheConfig::disabled(),
-            exec_cache: ExecCacheConfig::disabled(),
             delta: DeltaConfig::disabled(),
             feature_cache: qo_advisor::FeatureCacheConfig::disabled(),
             ..PipelineConfig::default()

@@ -1,19 +1,18 @@
 //! Thread-count *and* cache invariance of the staged pipeline: the same
 //! multi-day simulation run serially and at 1, 2, and 8 worker threads,
-//! with the compile-result cache, the execution-result cache, and delta
-//! slate compilation on or off, must produce byte-identical daily reports
-//! and byte-identical published SIS hint files.
+//! with the compile-result cache and delta slate compilation on or off,
+//! must produce byte-identical daily reports and byte-identical published
+//! SIS hint files.
 //!
-//! This is the contract that makes all four knobs safe to deploy:
-//! parallelism, the two caches, and delta compilation are purely throughput
-//! knobs, never behavior knobs — compilation and execution are both
-//! deterministic, a cache hit replays exactly what a recompile (or
-//! re-execution) would have produced, and a delta-priced treatment is
-//! byte-identical to a from-scratch compile, including `RuleInstability`
-//! compile failures.
+//! This is the contract that makes all three knobs safe to deploy:
+//! parallelism, the compile cache, and delta compilation are purely
+//! throughput knobs, never behavior knobs — compilation is deterministic, a
+//! cache hit replays exactly what a recompile would have produced, and a
+//! delta-priced treatment is byte-identical to a from-scratch compile,
+//! including `RuleInstability` compile failures.
 //!
 //! The fields excluded from the byte comparison are the report's
-//! `compile_cache` / `exec_cache` / `delta_compile` telemetry and the
+//! `compile_cache` / `delta_compile` / `feature_cache` telemetry and the
 //! per-stage wall-clock `timings`: they are *about* the machinery (all-zero
 //! with the knob off, eviction-order- or clock-dependent otherwise), not
 //! steering outputs. `normalized` zeroes them before formatting; everything
@@ -24,8 +23,8 @@ mod common;
 use common::hint_files;
 use qo_advisor::ProductionSim;
 use qo_advisor::{
-    CacheConfig, CacheCounters, CacheStats, DailyReport, DeltaConfig, ExecCacheConfig,
-    ExecCounters, FeatureCacheConfig, ParallelismConfig, PipelineConfig,
+    CacheConfig, CacheCounters, CacheStats, DailyReport, DeltaConfig, FeatureCacheConfig,
+    ParallelismConfig, PipelineConfig,
 };
 use scope_workload::{LiteralPolicy, WorkloadConfig};
 use sis::SisStore;
@@ -81,37 +80,28 @@ fn run_sim_with(wl: WorkloadConfig, config: PipelineConfig, sis_dir: &Path) -> V
         .collect()
 }
 
-/// [`run_sim_with`] over the four original throughput knobs (span-feature
+/// [`run_sim_with`] over the three original throughput knobs (span-feature
 /// cache and batched ranking stay at their on-by-default settings).
 fn run_sim_of(
     wl: WorkloadConfig,
     threads: Option<usize>,
     cache: CacheConfig,
-    exec_cache: ExecCacheConfig,
     delta: DeltaConfig,
     sis_dir: &Path,
 ) -> Vec<DailyReport> {
     let config = PipelineConfig {
         parallelism: ParallelismConfig { threads },
         cache,
-        exec_cache,
         delta,
         ..PipelineConfig::default()
     };
     run_sim_with(wl, config, sis_dir)
 }
 
-/// [`run_sim_of`] over the standard fresh-literal workload with the
-/// execution cache and delta compilation at their defaults (on).
+/// [`run_sim_of`] over the standard fresh-literal workload with delta
+/// compilation at its default (on).
 fn run_sim(threads: Option<usize>, cache: CacheConfig, sis_dir: &Path) -> Vec<DailyReport> {
-    run_sim_of(
-        workload(),
-        threads,
-        cache,
-        ExecCacheConfig::default(),
-        DeltaConfig::default(),
-        sis_dir,
-    )
+    run_sim_of(workload(), threads, cache, DeltaConfig::default(), sis_dir)
 }
 
 /// Byte-level rendering of the reports with the telemetry-only fields
@@ -161,13 +151,12 @@ fn reports_and_hint_files_are_identical_with_cache_on_and_off() {
         TempTree(std::env::temp_dir().join(format!("qo-cache-determinism-{}", std::process::id())));
     let _ = std::fs::remove_dir_all(&base.0);
 
-    // Baseline: the pre-cache pipeline (serial, both caches and delta off).
+    // Baseline: the pre-cache pipeline (serial, compile cache and delta off).
     let off_dir = base.0.join("off");
     let off_reports_raw = run_sim_of(
         workload(),
         None,
         CacheConfig::disabled(),
-        ExecCacheConfig::disabled(),
         DeltaConfig::disabled(),
         &off_dir,
     );
@@ -181,9 +170,8 @@ fn reports_and_hint_files_are_identical_with_cache_on_and_off() {
     assert!(
         off_reports_raw
             .iter()
-            .all(|r| r.compile_cache == CacheCounters::default()
-                && r.exec_cache == ExecCounters::default()),
-        "disabled caches must report zero telemetry"
+            .all(|r| r.compile_cache == CacheCounters::default()),
+        "a disabled compile cache must report zero telemetry"
     );
 
     for threads in [1usize, 2, 8] {
@@ -208,65 +196,6 @@ fn reports_and_hint_files_are_identical_with_cache_on_and_off() {
     }
 }
 
-/// The execution cache alone, against the fully uncached baseline, under
-/// fresh *and* sticky literals × 1/2/8 threads: byte-identical reports and
-/// hint files everywhere. (The compile cache stays off on both sides so
-/// this isolates the execution cache.)
-#[test]
-fn reports_and_hint_files_are_identical_with_exec_cache_on_and_off() {
-    let base =
-        TempTree(std::env::temp_dir().join(format!("qo-exec-determinism-{}", std::process::id())));
-    let _ = std::fs::remove_dir_all(&base.0);
-
-    for (policy, wl) in [("fresh", workload()), ("sticky", sticky_workload())] {
-        let off_dir = base.0.join(format!("{policy}-off"));
-        let baseline_reports = normalized(&run_sim_of(
-            wl.clone(),
-            None,
-            CacheConfig::disabled(),
-            ExecCacheConfig::disabled(),
-            DeltaConfig::disabled(),
-            &off_dir,
-        ));
-        let baseline_files = hint_files(&off_dir);
-        assert!(
-            !baseline_files.is_empty(),
-            "the {policy} exec-cache-off simulation must publish at least one hint file"
-        );
-
-        for threads in [1usize, 2, 8] {
-            let dir = base.0.join(format!("{policy}-exec-t{threads}"));
-            let raw = run_sim_of(
-                wl.clone(),
-                Some(threads),
-                CacheConfig::disabled(),
-                ExecCacheConfig::default(),
-                DeltaConfig::disabled(),
-                &dir,
-            );
-            assert!(
-                raw.iter()
-                    .any(|r| r.exec_cache.total().graphs.lookups() > 0),
-                "the exec-cached run must consult the cache, or this test \
-                 compares nothing: {:?}",
-                raw[0].exec_cache
-            );
-            assert_eq!(
-                normalized(&raw),
-                baseline_reports,
-                "{policy} daily reports diverged between exec-cache-off serial \
-                 and exec-cache-on at {threads} worker threads"
-            );
-            assert_eq!(
-                hint_files(&dir),
-                baseline_files,
-                "{policy} SIS hint files diverged between exec-cache-off serial \
-                 and exec-cache-on at {threads} worker threads"
-            );
-        }
-    }
-}
-
 /// The regime the caches were built for: sticky literals make recurring
 /// production scripts rebind identical plans across days, so the sim-wide
 /// shared caches (production view building + all pipeline stages) are hot on
@@ -284,7 +213,6 @@ fn sticky_literal_runs_are_identical_with_shared_cache_on_and_off() {
         sticky_workload(),
         None,
         CacheConfig::disabled(),
-        ExecCacheConfig::disabled(),
         DeltaConfig::disabled(),
         &off_dir,
     );
@@ -301,7 +229,6 @@ fn sticky_literal_runs_are_identical_with_shared_cache_on_and_off() {
             sticky_workload(),
             Some(threads),
             CacheConfig::default(),
-            ExecCacheConfig::default(),
             DeltaConfig::default(),
             &dir,
         );
@@ -321,23 +248,6 @@ fn sticky_literal_runs_are_identical_with_shared_cache_on_and_off() {
                 warm.compile_cache.hit_rate(),
                 warm.compile_cache
             );
-            // Execution side: run seeds are fresh every day, so full-result
-            // replays are rare in the closed loop — but warm-day production
-            // runs re-execute day-0 plans, whose stage graphs are memoized.
-            let view_graphs = warm.exec_cache.view_build.graphs;
-            assert!(
-                view_graphs.hits > 0,
-                "warm-day view builds must reuse memoized stage graphs: {:?}",
-                warm.exec_cache
-            );
-            assert!(
-                warm.exec_cache.view_build.partial_hit_rate() >= 0.5,
-                "day {} exec-cache warm-day floor: expected >=50% of view-build \
-                 executions to reuse a stage graph or result, got {:.2} ({:?})",
-                warm.day,
-                warm.exec_cache.view_build.partial_hit_rate(),
-                warm.exec_cache
-            );
         }
         assert_eq!(
             normalized(&raw),
@@ -356,7 +266,7 @@ fn sticky_literal_runs_are_identical_with_shared_cache_on_and_off() {
 
 /// Delta slate compilation alone, against the fully uncached baseline,
 /// under fresh *and* sticky literals × 1/2/8 threads: byte-identical
-/// reports and hint files everywhere. (Both result caches stay off on both
+/// reports and hint files everywhere. (The compile cache stays off on both
 /// sides so this isolates delta compilation — every delta- or prune-priced
 /// treatment must replay exactly what a from-scratch compile would have
 /// produced, `RuleInstability` failures included.)
@@ -372,7 +282,6 @@ fn reports_and_hint_files_are_identical_with_delta_on_and_off() {
             wl.clone(),
             None,
             CacheConfig::disabled(),
-            ExecCacheConfig::disabled(),
             DeltaConfig::disabled(),
             &off_dir,
         ));
@@ -388,7 +297,6 @@ fn reports_and_hint_files_are_identical_with_delta_on_and_off() {
                 wl.clone(),
                 Some(threads),
                 CacheConfig::disabled(),
-                ExecCacheConfig::disabled(),
                 DeltaConfig::default(),
                 &dir,
             );
@@ -511,12 +419,6 @@ fn cache_configs_default_to_enabled() {
     assert_eq!(PipelineConfig::default().cache, CacheConfig::default());
     assert!(CacheConfig::default().enabled);
     assert!(!CacheConfig::disabled().enabled);
-    assert_eq!(
-        PipelineConfig::default().exec_cache,
-        ExecCacheConfig::default()
-    );
-    assert!(ExecCacheConfig::default().enabled);
-    assert!(!ExecCacheConfig::disabled().enabled);
     assert_eq!(PipelineConfig::default().delta, DeltaConfig::default());
     assert!(DeltaConfig::default().enabled);
     assert!(!DeltaConfig::disabled().enabled);

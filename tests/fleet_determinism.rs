@@ -5,7 +5,7 @@
 //! run alone in a single-tenant [`ProductionSim`].
 //!
 //! This is the contract that makes shared-cache tenancy deployable: the
-//! shared compile / execution / delta-base / span-feature caches are keyed
+//! shared compile / delta-base / span-feature caches are keyed
 //! on tenant-invariant plan identities, so cross-tenant sharing changes hit
 //! rates and wall clocks, never steering outputs. The streaming pipeline
 //! (worker count, queue capacity) is likewise a pure throughput knob.
@@ -33,8 +33,8 @@ use qo_advisor::fleet::{
     disjoint_workloads, overlapping_workloads, Fleet, FleetConfig, StreamConfig,
 };
 use qo_advisor::{
-    CacheConfig, CompileBudget, DailyReport, DeltaConfig, ExecCacheConfig, FeatureCacheConfig,
-    PipelineConfig, ProductionSim,
+    CacheConfig, CompileBudget, DailyReport, DeltaConfig, FeatureCacheConfig, PipelineConfig,
+    ProductionSim,
 };
 use scope_workload::WorkloadConfig;
 use sis::SisStore;
@@ -62,7 +62,6 @@ fn config_with(caches: bool) -> PipelineConfig {
     } else {
         PipelineConfig {
             cache: CacheConfig::disabled(),
-            exec_cache: ExecCacheConfig::disabled(),
             delta: DeltaConfig::disabled(),
             feature_cache: FeatureCacheConfig::disabled(),
             ..PipelineConfig::default()

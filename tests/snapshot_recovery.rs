@@ -26,8 +26,8 @@ mod common;
 
 use common::hint_files;
 use qo_advisor::{
-    CacheConfig, DailyReport, DeltaConfig, ExecCacheConfig, FeatureCacheConfig, ParallelismConfig,
-    PipelineConfig, ProductionSim, SnapshotPolicy,
+    CacheConfig, DailyReport, DeltaConfig, FeatureCacheConfig, ParallelismConfig, PipelineConfig,
+    ProductionSim, SnapshotPolicy,
 };
 use scope_workload::{LiteralPolicy, WorkloadConfig};
 use sis::SisStore;
@@ -64,7 +64,6 @@ fn config_with(threads: Option<usize>, caches: bool) -> PipelineConfig {
         PipelineConfig {
             parallelism: ParallelismConfig { threads },
             cache: CacheConfig::disabled(),
-            exec_cache: ExecCacheConfig::disabled(),
             delta: DeltaConfig::disabled(),
             feature_cache: FeatureCacheConfig::disabled(),
             ..PipelineConfig::default()
